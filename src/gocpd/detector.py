@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (ConfigError, NonContiguousBatch, NonPositiveDefinite,
                      TooFewPoints)
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
-                     ModelParams, ObservationModel)
+                     ModelParams, ObservationModel, UniformGramFactor)
 from .search import CandidateState, SplitScorer, effective_interval, ternary_argmax
 from .window import TimeSeriesWindow
 
@@ -68,7 +68,8 @@ class ModelSpec:
         if self.min_fit_points < 1:
             raise ConfigError("model.min_fit_points must be >= 1")
 
-    def build(self, role: str) -> ObservationModel:
+    def build(self, gram_factor: UniformGramFactor | None = None) -> ObservationModel:
+        """A fresh model; GP models use ``gram_factor`` when it is given."""
         params = ModelParams(
             mean=np.asarray(self.mean, dtype=float),
             noise_std=self.noise_std,
@@ -79,13 +80,13 @@ class ModelSpec:
         if self.family == "iid":
             return IidGaussianModel(
                 params, min_fit_points=self.min_fit_points,
-                fix_noise=self.fix_noise, fix_mean=self.fix_mean, role=role,
+                fix_noise=self.fix_noise, fix_mean=self.fix_mean,
             )
         return GaussianProcessModel(
             params, min_fit_points=self.min_fit_points,
             fix_noise=self.fix_noise, fix_mean=self.fix_mean,
             fix_kernel=self.fix_kernel, fix_output_scale=self.fix_output_scale,
-            max_fit_iters=self.max_fit_iters, role=role,
+            max_fit_iters=self.max_fit_iters, gram_factor=gram_factor,
         )
 
 
@@ -190,9 +191,12 @@ class Detector:
 
     def __init__(self, config: DetectorConfig):
         self.config = config
-        self.m0 = config.model.build("m0")
-        self.m1 = config.model.build("m1")
-        self.m2 = config.model.build("m2")
+        # The three models share one grid factor; it only fills up when the
+        # GP hyperparameters are all fixed.
+        shared = UniformGramFactor() if config.model.family == "gp" else None
+        self.m0 = config.model.build(shared)
+        self.m1 = config.model.build(shared)
+        self.m2 = config.model.build(shared)
         self.window: TimeSeriesWindow | None = None
         self.last_change: int = 0
         self.candidate: CandidateState | None = None

@@ -20,17 +20,29 @@ Every model exposes:
 * ``mahalanobis(window)`` / ``modified_mahalanobis(window)`` -- the distance
   ``sqrt(r^T Sigma^{-1} r)`` of the observations from the predictive mean,
   and the length-corrected variant ``d^(2/n)``.
+
+When every GP hyperparameter is fixed, the models of one detector share a
+``UniformGramFactor``: a growing lower Cholesky factor of the noisy Gram on
+the grid ``0, dx, 2dx, ...``. A stationary kernel depends only on input
+differences, so on a segment whose inputs are exactly ``x[0] + k * dx`` the
+noisy Gram is the leading block of the grid's Gram, and the Cholesky factor
+of a leading block is the leading block of the Cholesky factor: the
+recurrence for the first n rows reads only the first n rows and columns.
+This is exact, not an approximation. Fitting, the log-likelihood and the
+marginal Mahalanobis distance then slice the shared factor instead of
+factoring afresh. Learned hyperparameters, non-uniform inputs, and a grid
+factor whose growth fails without jitter all take the dense
+``chol_with_jitter`` path, which stays the reference.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
 
 from .errors import NonPositiveDefinite, TooFewPoints
 from .window import TimeSeriesWindow
@@ -138,6 +150,70 @@ def chol_with_jitter(mat: np.ndarray) -> np.ndarray:
     )
 
 
+class UniformGramFactor:
+    """Growing lower Cholesky factor of the noisy Gram on ``0, dx, 2dx, ...``.
+
+    One instance serves every GP model of a detector whose hyperparameters
+    are all fixed. It is bound to the first hyperparameters and spacing
+    ``dx`` it is asked for; other requests get ``None``. The factor grows by
+    a bordered block update that computes only the new Gram columns. A
+    growth that fails without jitter is not retried at that size or above,
+    and those segments take the dense path.
+    """
+
+    def __init__(self):
+        self.key: tuple | None = None
+        self.size = 0
+        self.limit: int | None = None
+        self._lower = np.zeros((0, 0))
+
+    def leading(self, x: np.ndarray, params: ModelParams, gram) -> np.ndarray | None:
+        """Lower factor of the noisy Gram on ``x``, or None when it does not apply.
+
+        ``gram(a, b, params)`` is the model's noise-free kernel.
+        """
+        n = len(x)
+        if n < 2:
+            return None
+        dx = x[1] - x[0]
+        if not np.array_equal(x - x[0], np.arange(n)[:, None] * dx):
+            return None
+        key = (params.kernel, params.lengthscale, params.output_scale,
+               params.noise_std, tuple(dx))
+        if self.key is None:
+            self.key = key
+        elif key != self.key:
+            return None
+        if n > self.size and not self._grow(n, dx, params, gram):
+            return None
+        return np.ascontiguousarray(self._lower[:n, :n])
+
+    def _grow(self, n: int, dx: np.ndarray, params: ModelParams, gram) -> bool:
+        if self.limit is not None and n >= self.limit:
+            return False
+        m = self.size
+        if n > len(self._lower):
+            grown = np.zeros((max(n, 2 * len(self._lower)),) * 2)
+            grown[:m, :m] = self._lower[:m, :m]
+            self._lower = grown
+        grid = np.arange(n)[:, None] * dx
+        k_new = gram(grid, grid[m:], params)
+        k_new[m:] += params.noise_std**2 * np.eye(n - m)
+        if m:
+            l21 = solve_triangular(self._lower[:m, :m], k_new[:m], lower=True).T
+        else:
+            l21 = np.zeros((n, 0))
+        try:
+            l22 = cholesky(k_new[m:] - l21 @ l21.T, lower=True)
+        except np.linalg.LinAlgError:
+            self.limit = n
+            return False
+        self._lower[m:n, :m] = l21
+        self._lower[m:n, m:n] = l22
+        self.size = n
+        return True
+
+
 def _mvn_logpdf_chol(residual: np.ndarray, chol_lower: np.ndarray) -> float:
     z = solve_triangular(chol_lower, residual, lower=True)
     logdet = 2.0 * np.sum(np.log(np.diag(chol_lower)))
@@ -147,26 +223,19 @@ def _mvn_logpdf_chol(residual: np.ndarray, chol_lower: np.ndarray) -> float:
 class ObservationModel:
     """Base class: parameter bookkeeping plus the shared distance metrics.
 
-    Concrete families implement ``fit``, ``log_likelihood`` and
-    ``posterior``. Instances are single-writer: do not fit and predict
+    Concrete families implement ``fit``, ``log_likelihood``, ``posterior``
+    and ``mahalanobis``. Instances are single-writer: do not fit and predict
     concurrently on the same object.
     """
 
-    def __init__(self, prior_params: ModelParams, min_fit_points: int = 3,
-                 role: str | None = None):
+    def __init__(self, prior_params: ModelParams, min_fit_points: int = 3):
         self.prior_params = prior_params.copy()
         self.params = prior_params.copy()
         self.min_fit_points = int(min_fit_points)
-        self.role = role
-        self.fitted_span: tuple[int, int] | None = None
 
     def reset(self) -> None:
         """Restore parameters to the priors, exactly."""
         self.params = self.prior_params.copy()
-        self.fitted_span = None
-
-    def clone(self) -> "ObservationModel":
-        return copy.deepcopy(self)
 
     @property
     def channel_count(self) -> int:
@@ -197,12 +266,6 @@ class ObservationModel:
     def posterior(self, query_inputs, train: TimeSeriesWindow | None = None) -> PosteriorSummary:
         raise NotImplementedError
 
-    # -- derived quantities -------------------------------------------------
-
-    def avg_log_likelihood(self, window: TimeSeriesWindow) -> float:
-        """Log-likelihood divided by the number of observations."""
-        return self.log_likelihood(window) / len(window)
-
     def mahalanobis(self, window: TimeSeriesWindow,
                     train: TimeSeriesWindow | None = None) -> float:
         """Distance of the outputs from the predictive mean.
@@ -212,11 +275,13 @@ class ObservationModel:
         ``train=None`` the predictive is the marginal under the fitted
         parameters; channels contribute independent blocks.
         """
-        summary = self.posterior(window.inputs, train=train)
-        residual = _flatten_channel_major(window.outputs) - summary.mean
-        chol_lower = chol_with_jitter(summary.cov)
-        z = solve_triangular(chol_lower, residual, lower=True)
-        return float(np.sqrt(z @ z))
+        raise NotImplementedError
+
+    # -- derived quantities -------------------------------------------------
+
+    def avg_log_likelihood(self, window: TimeSeriesWindow) -> float:
+        """Log-likelihood divided by the number of observations."""
+        return self.log_likelihood(window) / len(window)
 
     def modified_mahalanobis(self, window: TimeSeriesWindow,
                              train: TimeSeriesWindow | None = None) -> float:
@@ -241,9 +306,8 @@ class IidGaussianModel(ObservationModel):
     """
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 1,
-                 fix_noise: bool = False, fix_mean: bool = False,
-                 role: str | None = None):
-        super().__init__(prior_params, min_fit_points=min_fit_points, role=role)
+                 fix_noise: bool = False, fix_mean: bool = False):
+        super().__init__(prior_params, min_fit_points=min_fit_points)
         self.fix_noise = fix_noise
         self.fix_mean = fix_mean
 
@@ -256,7 +320,6 @@ class IidGaussianModel(ObservationModel):
         if not self.fix_noise:
             resid = y - self.params.mean
             self.params.noise_std = max(float(np.sqrt(np.mean(resid**2))), _NOISE_FLOOR)
-        self.fitted_span = (window.start_index, window.end_index)
         return self
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
@@ -298,22 +361,27 @@ class GaussianProcessModel(ObservationModel):
     their exact conditional optimum each iteration. Iterations are capped
     (``max_fit_iters``) and stop early when the gradient norm falls below
     ``grad_tol``.
+
+    ``gram_factor``, when given, is a ``UniformGramFactor`` shared with the
+    detector's other models; it is used only while no hyperparameter is
+    being fitted.
     """
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 3,
                  fix_noise: bool = False, fix_mean: bool = False,
                  fix_kernel: bool = False, fix_output_scale: bool = False,
                  max_fit_iters: int = 50, grad_tol: float = 1e-5,
-                 role: str | None = None):
+                 gram_factor: UniformGramFactor | None = None):
         if prior_params.kernel is None:
             raise ValueError("GaussianProcessModel requires a kernel kind")
-        super().__init__(prior_params, min_fit_points=min_fit_points, role=role)
+        super().__init__(prior_params, min_fit_points=min_fit_points)
         self.fix_noise = fix_noise
         self.fix_mean = fix_mean
         self.fix_kernel = fix_kernel
         self.fix_output_scale = fix_output_scale
         self.max_fit_iters = int(max_fit_iters)
         self.grad_tol = float(grad_tol)
+        self.gram_factor = gram_factor
 
     # -- kernel -------------------------------------------------------------
 
@@ -335,15 +403,23 @@ class GaussianProcessModel(ObservationModel):
         k = self._gram(x, params=p)
         return k + p.noise_std**2 * np.eye(len(x))
 
+    def _chol(self, x: np.ndarray, params: ModelParams) -> np.ndarray:
+        """Lower Cholesky factor of the noisy Gram on ``x``."""
+        if self.gram_factor is not None and not self._active_names():
+            lower = self.gram_factor.leading(x, params, self._gram)
+            if lower is not None:
+                return lower
+        return chol_with_jitter(self._noisy_gram(x, params))
+
     # -- likelihood ----------------------------------------------------------
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
         self._check_window(window)
-        return self._log_likelihood_for(window, self.params)
+        return self._log_likelihood_chol(window, self.params,
+                                         self._chol(window.inputs, self.params))
 
-    def _log_likelihood_for(self, window: TimeSeriesWindow, params: ModelParams) -> float:
-        ky = self._noisy_gram(window.inputs, params)
-        chol_lower = chol_with_jitter(ky)
+    def _log_likelihood_chol(self, window: TimeSeriesWindow, params: ModelParams,
+                             chol_lower: np.ndarray) -> float:
         total = 0.0
         for c in range(self.channel_count):
             resid = window.outputs[:, c] - params.mean[c]
@@ -376,26 +452,23 @@ class GaussianProcessModel(ObservationModel):
             out["noise_std"] = 2.0 * params.noise_std**2 * np.eye(n)
         return out
 
-    def _objective(self, window: TimeSeriesWindow, params: ModelParams) -> float:
-        """Marginal log-likelihood, with the means set to their exact optimum."""
-        x, y = window.inputs, window.outputs
-        n = len(x)
-        ky = self._noisy_gram(x, params)
-        chol_lower = chol_with_jitter(ky)
+    def _fit_mean(self, window: TimeSeriesWindow, params: ModelParams) -> np.ndarray:
+        """Set the means to their exact optimum; returns the Gram factor."""
+        y = window.outputs
+        chol_lower = self._chol(window.inputs, params)
         if not self.fix_mean:
-            ones = np.ones(n)
-            z_one = solve_triangular(chol_lower, ones, lower=True)
+            z_one = solve_triangular(chol_lower, np.ones(len(y)), lower=True)
             denom = z_one @ z_one
             params.mean = np.array([
                 float(z_one @ solve_triangular(chol_lower, y[:, c], lower=True) / denom)
                 for c in range(self.channel_count)
             ])
-        logdet = 2.0 * np.sum(np.log(np.diag(chol_lower)))
-        total = 0.0
-        for c in range(self.channel_count):
-            z = solve_triangular(chol_lower, y[:, c] - params.mean[c], lower=True)
-            total += -0.5 * (z @ z + logdet + n * LOG_2PI)
-        return float(total)
+        return chol_lower
+
+    def _objective(self, window: TimeSeriesWindow, params: ModelParams) -> float:
+        """Marginal log-likelihood, with the means set to their exact optimum."""
+        chol_lower = self._fit_mean(window, params)
+        return self._log_likelihood_chol(window, params, chol_lower)
 
     def _gradient(self, window: TimeSeriesWindow, params: ModelParams,
                   active: list[str]) -> np.ndarray:
@@ -421,11 +494,14 @@ class GaussianProcessModel(ObservationModel):
         params = self.params.copy() if warm_start else self.prior_params.copy()
 
         active = self._active_names()
+        if not active:
+            # Fixed kernel and noise: the means are the whole fit.
+            self._fit_mean(window, params)
+            self.params = params
+            return self
         objective = self._objective(window, params)
         step = 0.25  # step length in log-parameter units
         for _ in range(self.max_fit_iters):
-            if not active:
-                break
             gvec = self._gradient(window, params, active)
             gnorm = float(np.linalg.norm(gvec))
             if gnorm < self.grad_tol:
@@ -455,42 +531,44 @@ class GaussianProcessModel(ObservationModel):
                 break
 
         self.params = params
-        self.fitted_span = (window.start_index, window.end_index)
         return self
 
     # -- prediction ----------------------------------------------------------
+
+    def _predictive(self, q: np.ndarray,
+                    train: TimeSeriesWindow | None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel predictive means ``(n_q, C)`` and the shared covariance."""
+        p = self.params
+        if train is None:
+            return np.broadcast_to(p.mean, (len(q), self.channel_count)), self._noisy_gram(q)
+        self._check_window(train)
+        k_tq = self._gram(train.inputs, q)
+        chol_lower = chol_with_jitter(self._noisy_gram(train.inputs))
+        solved = cho_solve((chol_lower, True), k_tq)
+        cov = self._gram(q) - k_tq.T @ solved + p.noise_std**2 * np.eye(len(q))
+        cov = 0.5 * (cov + cov.T)
+        return p.mean + solved.T @ (train.outputs - p.mean), cov
 
     def posterior(self, query_inputs, train: TimeSeriesWindow | None = None) -> PosteriorSummary:
         q = np.asarray(query_inputs, dtype=float)
         if q.ndim == 1:
             q = q[:, None]
-        n_q = len(q)
-        p = self.params
+        means, cov = self._predictive(q, train)
+        if self.channel_count > 1:
+            cov = block_diag(*[cov] * self.channel_count)
+        return PosteriorSummary(mean=_flatten_channel_major(means), cov=cov)
 
+    def mahalanobis(self, window: TimeSeriesWindow,
+                    train: TimeSeriesWindow | None = None) -> float:
+        # Channels share one covariance block: factor it once and sum the
+        # per-channel squared distances.
+        self._check_window(window)
         if train is None:
-            block_cov = self._noisy_gram(q)
-            block_means = [np.full(n_q, p.mean[c]) for c in range(self.channel_count)]
-            block_covs = [block_cov] * self.channel_count
+            chol_lower = self._chol(window.inputs, self.params)
+            resid = window.outputs - self.params.mean
         else:
-            self._check_window(train)
-            k_tt = self._noisy_gram(train.inputs)
-            k_tq = self._gram(train.inputs, q)
-            k_qq = self._gram(q)
-            chol_lower = chol_with_jitter(k_tt)
-            solved = cho_solve((chol_lower, True), k_tq)
-            cov = k_qq - k_tq.T @ solved + p.noise_std**2 * np.eye(n_q)
-            cov = 0.5 * (cov + cov.T)
-            block_covs = [cov] * self.channel_count
-            block_means = []
-            for c in range(self.channel_count):
-                resid = train.outputs[:, c] - p.mean[c]
-                block_means.append(p.mean[c] + solved.T @ resid)
-
-        mean = np.concatenate(block_means)
-        if self.channel_count == 1:
-            full_cov = block_covs[0]
-        else:
-            from scipy.linalg import block_diag
-
-            full_cov = block_diag(*block_covs)
-        return PosteriorSummary(mean=mean, cov=full_cov)
+            means, cov = self._predictive(window.inputs, train)
+            chol_lower = chol_with_jitter(cov)
+            resid = window.outputs - means
+        z = solve_triangular(chol_lower, resid, lower=True)
+        return float(np.sqrt(np.sum(z * z)))

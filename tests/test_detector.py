@@ -201,6 +201,48 @@ def test_degraded_step_keeps_stream_alive(caplog):
     assert det.instrumentation[-1]["error"] is not None
 
 
+def test_fixed_gp_nan_raises_at_its_step():
+    y = np.random.default_rng(8).normal(size=60)
+    y[40] = np.nan
+    det = Detector(DetectorConfig(model=ModelSpec(
+        family="gp", fix_kernel=True, fix_output_scale=True, fix_noise=True)))
+    for batch in stream_batches(TimeSeriesWindow(np.arange(60.0), y), 1):
+        if batch.start_index == 40:
+            assert det.m0.gram_factor.size == 40  # the fast path is in use
+            with pytest.raises(ValueError):
+                det.step(batch)
+            break
+        det.step(batch)
+
+
+def test_fixed_gp_shared_factor_matches_dense_detector():
+    # One shared factor for m0, m1 and m2, across a detection reset; the
+    # dense detector has the factor switched off.
+    rng = np.random.default_rng(3)
+    y = np.concatenate([rng.normal(0, 0.1, 50), rng.normal(1, 0.1, 70),
+                        rng.normal(0, 0.1, 80)])
+    window = TimeSeriesWindow(np.arange(200.0), y)
+    cfg = step_config(wait=10, model=ModelSpec(
+        family="gp", noise_std=0.1, output_scale=0.1, fix_kernel=True,
+        fix_output_scale=True, fix_noise=True))
+    fast, dense = Detector(cfg), Detector(cfg)
+    for model in (dense.m0, dense.m1, dense.m2):
+        model.gram_factor = None
+    assert fast.m0.gram_factor is fast.m1.gram_factor is fast.m2.gram_factor
+    for batch in stream_batches(window, 1):
+        fast.step(batch)
+        dense.step(batch)
+    assert [e.change_point for e in fast.events] == [e.change_point for e in dense.events]
+    assert len(fast.events) >= 2
+    assert fast.m0.gram_factor.size > 0
+    for got, want in zip(fast.instrumentation, dense.instrumentation):
+        assert got["candidate"] == want["candidate"]
+        assert got["criterion"] == want["criterion"]
+        for key in ("score", "distance_left", "distance_right"):
+            if want[key] is not None:
+                assert got[key] == pytest.approx(want[key], rel=1e-9)
+
+
 # -- thresholds and persistence -----------------------------------------------------
 
 def test_infinite_thresholds_never_detect():

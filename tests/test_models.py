@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
 from gocpd.errors import NonPositiveDefinite, TooFewPoints
 from gocpd.models import (GaussianProcessModel, IidGaussianModel, Kernel,
-                          ModelParams, chol_with_jitter)
+                          ModelParams, UniformGramFactor, chol_with_jitter)
 from gocpd.window import TimeSeriesWindow
 
 LOG_2PI = math.log(2 * math.pi)
@@ -282,6 +283,22 @@ def test_mahalanobis_nonnegative_and_zero_iff_zero_residual():
         assert (d < 1e-10) == bool(np.all(np.abs(y) < 1e-10))
 
 
+def test_multichannel_mahalanobis_matches_block_diagonal_oracle():
+    rng = np.random.default_rng(15)
+    x = np.arange(10.0)
+    y = rng.normal(size=(10, 3))
+    m = GaussianProcessModel(ModelParams(mean=[0.1, -0.2, 0.4], noise_std=0.3,
+                                         lengthscale=1.5, output_scale=0.8,
+                                         kernel=Kernel.RBF))
+    query = TimeSeriesWindow(x[6:], y[6:], start_index=6)
+    for train in (None, TimeSeriesWindow(x[:6], y[:6])):
+        post = m.posterior(query.inputs, train=train)  # block_diag covariance
+        resid = query.outputs.T.reshape(-1) - post.mean
+        z = solve_triangular(chol_with_jitter(post.cov), resid, lower=True)
+        assert m.mahalanobis(query, train=train) == pytest.approx(
+            math.sqrt(z @ z), rel=1e-10)
+
+
 # -- modified mahalanobis -----------------------------------------------------
 
 def test_modified_mahalanobis_exponent_one():
@@ -333,3 +350,92 @@ def test_params_validation():
         ModelParams(mean=[0.0], noise_std=0.0)
     with pytest.raises(ValueError):
         ModelParams(mean=[0.0], noise_std=1.0, lengthscale=-1.0)
+
+
+# -- shared grid factor (fast path) vs the dense oracle ----------------------------
+
+def fixed_gp(kernel=Kernel.RBF, channels=1, gram_factor=None, noise=0.3,
+             lengthscale=2.0, output_scale=0.9, **kw):
+    settings = dict(fix_kernel=True, fix_noise=True)
+    settings.update(kw)
+    return GaussianProcessModel(
+        ModelParams(mean=[0.0] * channels, noise_std=noise, lengthscale=lengthscale,
+                    output_scale=output_scale, kernel=kernel),
+        gram_factor=gram_factor, **settings)
+
+
+def grid_window(n, channels, seed, dx=1.0, x0=0.0, start=0):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(n, channels)) + np.where(np.arange(n) < n // 2, 0.0, 1.5)[:, None]
+    return TimeSeriesWindow(x0 + dx * np.arange(n), y, start_index=start)
+
+
+def assert_models_agree(fast, dense, segment, rel):
+    fast.fit(segment)
+    dense.fit(segment)
+    pairs = [(fast.params.mean, dense.params.mean),
+             (fast.log_likelihood(segment), dense.log_likelihood(segment)),
+             (fast.mahalanobis(segment), dense.mahalanobis(segment))]
+    for got, want in pairs:
+        if rel == 0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=rel, atol=0)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.RBF, Kernel.DIRAC_DELTA])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_grid_factor_matches_dense_on_random_segments(kernel, channels):
+    rng = np.random.default_rng(20)
+    factor = UniformGramFactor()
+    fast = fixed_gp(kernel, channels, gram_factor=factor)
+    dense = fixed_gp(kernel, channels)
+    full = grid_window(160, channels, seed=21, dx=0.5, x0=3.0)
+    segments = []
+    for _ in range(25):
+        a = int(rng.integers(0, 150))
+        b = int(rng.integers(a + 3, 160))
+        segments.append(full.slice(a, b))
+    # After a detection the window restarts at the change point: later
+    # segments begin at a nonzero offset and need a longer factor.
+    reset = full.slice(70, 159)
+    segments += [reset, reset.slice(70, 100), reset.slice(101, 159)]
+    for segment in segments:
+        assert_models_agree(fast, dense, segment, rel=1e-9)
+        assert factor.size >= len(segment)
+    assert factor.limit is None
+
+
+def test_grid_factor_unused_on_nonuniform_inputs_or_learned_hyperparameters():
+    rng = np.random.default_rng(22)
+    x = np.sort(rng.uniform(0, 40, size=40))
+    nonuniform = TimeSeriesWindow(x, rng.normal(size=(40, 3)))
+    factor = UniformGramFactor()
+    assert_models_agree(fixed_gp(channels=3, gram_factor=factor), fixed_gp(channels=3),
+                        nonuniform, rel=0)
+    assert factor.size == 0
+
+    uniform = grid_window(40, 1, seed=23)
+    learned = dict(fix_kernel=False, fix_noise=False, max_fit_iters=5)
+    assert_models_agree(fixed_gp(gram_factor=factor, **learned), fixed_gp(**learned),
+                        uniform, rel=0)
+    assert factor.size == 0
+
+
+def test_grid_factor_growth_failure_falls_back_to_jitter():
+    # A long lengthscale and tiny noise make the Gram singular to working
+    # precision: the plain factorization fails and the dense path must add
+    # jitter.
+    settings = dict(noise=1e-8, lengthscale=20.0, output_scale=1.0)
+    segment = grid_window(40, 1, seed=24)
+    gram = fixed_gp(**settings)._noisy_gram(segment.inputs)
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky(gram, lower=True)
+    factor = UniformGramFactor()
+    fast = fixed_gp(gram_factor=factor, **settings)
+    assert_models_agree(fast, fixed_gp(**settings), segment, rel=0)
+    assert factor.limit is not None and factor.size < len(segment)
+    # Beyond the failed size the factor is never grown again.
+    limit = factor.limit
+    assert_models_agree(fast, fixed_gp(**settings), grid_window(45, 1, seed=25), rel=0)
+    assert factor.limit == limit
