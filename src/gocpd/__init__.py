@@ -10,14 +10,13 @@ from .datagen import RegimeScript, sample_piecewise_gp, standard_script, step_ex
 from .detector import (DetectionEvent, Detector, DetectorConfig, ModelSpec,
                        run_stream, stream_batches)
 from .errors import (ConfigError, EmptyDomain, EmptyLog, GocpdError,
-                     NonContiguousBatch, NonPositiveDefinite, TooFewPoints,
-                     ZeroVariance)
+                     NonContiguousBatch, NonFiniteObservation,
+                     NonPositiveDefinite, TooFewPoints, ZeroVariance)
 from .metrics import MatchReport, aggregate_instrumentation, match_detections, rates
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel, PosteriorSummary)
 from .search import (CandidateState, SplitScore, SplitScorer,
-                     effective_interval, split_score, ternary_argmax,
-                     ternary_search)
+                     effective_interval, ternary_argmax)
 from .window import TimeSeriesWindow
 
 __version__ = "0.1.0"
@@ -38,6 +37,7 @@ __all__ = [
     "ModelParams",
     "ModelSpec",
     "NonContiguousBatch",
+    "NonFiniteObservation",
     "NonPositiveDefinite",
     "ObservationModel",
     "PosteriorSummary",
@@ -53,10 +53,8 @@ __all__ = [
     "rates",
     "run_stream",
     "sample_piecewise_gp",
-    "split_score",
     "standard_script",
     "step_example",
     "stream_batches",
     "ternary_argmax",
-    "ternary_search",
 ]

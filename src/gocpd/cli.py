@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .detector import (Detector, DetectorConfig, grid_search_thresholds,
-                       run_stream, stream_batches)
+from .detector import DetectorConfig, grid_search_thresholds, run_stream
 from .errors import ConfigError, GocpdError
 from .fileio import (read_json, read_jsonl, read_series_csv, write_json,
                      write_jsonl, write_series_csv)
@@ -101,20 +100,18 @@ def _perturbed_model(config: DetectorConfig, seed: int) -> DetectorConfig:
 
 
 def _detect_once(series, config: DetectorConfig, out: Path, seed: int, data_path) -> int:
-    detector = Detector(config)
-    for batch in stream_batches(series, config.batch_size):
-        detector.step(batch)
+    events, records = run_stream(series, config)
     out.mkdir(parents=True, exist_ok=True)
     meta = {"kind": "meta", "seed": seed, "config": config.to_dict(),
             "data": str(data_path), "points": len(series)}
-    write_jsonl(out / "events.jsonl", [meta] + [e.to_dict() for e in detector.events])
-    write_jsonl(out / "instrumentation.jsonl", [meta] + detector.instrumentation)
+    write_jsonl(out / "events.jsonl", [meta] + [e.to_dict() for e in events])
+    write_jsonl(out / "instrumentation.jsonl", [meta] + records)
     write_json(out / "meta.json", meta)
-    _write_plot_csv(out / "plot.csv", detector.instrumentation)
-    print(f"{len(detector.events)} detections -> {out}")
-    for event in detector.events:
+    _write_plot_csv(out / "plot.csv", records)
+    print(f"{len(events)} detections -> {out}")
+    for event in events:
         print(f"  change at t={event.change_point} declared at t={event.declared_at}")
-    return len(detector.events)
+    return len(events)
 
 
 def cmd_detect(args) -> int:

@@ -7,9 +7,12 @@ point with a warm-started ternary search over the effective interval, and
 (4) applies a two-segment acceptance test: the modified Mahalanobis
 distance of the data before and after the candidate, measured against the
 single model, must exceed thresholds ``nu1`` and ``nu2`` while the
-candidate stays put. Only after ``k_max`` consecutive such iterations is
-the change declared, the pre-change data dropped, and every model reset to
-its priors.
+candidate stays put. The persistence counter ``k`` rises by one on a
+searched iteration where the criterion holds and the candidate stays
+within ``search_tol`` of both the previous candidate and the anchor (where
+it first held), and is otherwise reset to 0 with the anchor dropped. Once
+``k`` exceeds ``k_max`` the change is declared, the pre-change data
+dropped, and every model reset to its priors.
 
 The two-segment test is what gives robustness to outliers: an isolated
 spike only raises the distance of the segment containing it, so the
@@ -19,14 +22,15 @@ conjunction fails and the persistence counter restarts.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (ConfigError, NonContiguousBatch, NonPositiveDefinite,
-                     TooFewPoints)
+from .errors import (ConfigError, NonContiguousBatch, NonFiniteObservation,
+                     NonPositiveDefinite, TooFewPoints)
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel, UniformGramFactor)
 from .search import CandidateState, SplitScorer, effective_interval, ternary_argmax
@@ -108,7 +112,6 @@ class DetectorConfig:
     wait: int = 80
     search_tol: int = 2
     batch_size: int = 1
-    freeze_on_candidate_move: bool = False
     model: ModelSpec = field(default_factory=ModelSpec)
 
     REQUIRED = ("nu1", "nu2", "k_max", "t_ini", "wait")
@@ -208,6 +211,11 @@ class Detector:
     # -- stream plumbing -----------------------------------------------------
 
     def _absorb(self, batch: TimeSeriesWindow) -> None:
+        # math.isfinite per element beats numpy reductions on one-point batches
+        if not (all(map(math.isfinite, batch.inputs.flat))
+                and all(map(math.isfinite, batch.outputs.flat))):
+            row = np.isfinite(np.hstack([batch.inputs, batch.outputs])).all(axis=1).argmin()
+            raise NonFiniteObservation(f"non-finite observation at t={batch.start_index + row}")
         if self.window is None:
             self.window = batch
             self.last_change = batch.start_index
@@ -248,7 +256,9 @@ class Detector:
 
         Returns the DetectionEvent if this batch's iteration declared a
         change, else None. Numerical failures inside the search or the
-        criterion degrade to a logged no-op; the stream stays alive.
+        criterion degrade to a logged no-op; the stream stays alive. A
+        batch holding NaN or inf raises NonFiniteObservation and leaves the
+        detector as it was.
         """
         started = time.perf_counter()
         self._absorb(batch)
@@ -285,19 +295,13 @@ class Detector:
             self._record(t, searched=False)
             return None
 
-        scorer = SplitScorer(data, self.m1, self.m2, warm_start=True)
+        scorer = SplitScorer(data, self.m1, self.m2)
         tau = ternary_argmax(scorer.score, domain[0], domain[-1],
                              prev_candidate, cfg.search_tol)
-        state = CandidateState(
-            candidate=tau,
-            candidate_score=scorer.score(tau),
-            persistence=prev_k,
-            eval_count_last_iter=scorer.eval_count,
-        )
+        state = CandidateState(candidate=tau, candidate_score=scorer.score(tau))
 
-        satisfied, d_left, d_right = self.criterion(state.candidate)
-        had_candidate = self.candidate is not None
-        stable = had_candidate and abs(tau - prev_candidate) <= cfg.search_tol
+        satisfied, d_left, d_right = self.criterion(tau)
+        stable = self.candidate is not None and abs(tau - prev_candidate) <= cfg.search_tol
         if stable and self.anchor is not None:
             stable = abs(tau - self.anchor) <= cfg.search_tol
 
@@ -305,17 +309,12 @@ class Detector:
             state.persistence = prev_k + 1
             if self.anchor is None:
                 self.anchor = tau
-        elif not satisfied:
-            state.persistence = 0
+        else:
             self.anchor = None
-        else:  # criterion holds but the candidate moved
-            state.persistence = prev_k if cfg.freeze_on_candidate_move else 0
-            if not cfg.freeze_on_candidate_move:
-                self.anchor = None
 
         self.candidate = state
         self._record(
-            t, searched=True, domain_size=len(domain), evals=state.eval_count_last_iter,
+            t, searched=True, domain_size=len(domain), evals=scorer.eval_count,
             criterion=satisfied, stable=stable, distance_left=d_left,
             distance_right=d_right,
         )
@@ -366,6 +365,28 @@ def stream_batches(window: TimeSeriesWindow, batch_size: int) -> Iterator[TimeSe
         yield window.slice(start, stop)
 
 
+def _pair_batches(pairs: Iterable, batch_size: int,
+                  start: int) -> Iterator[TimeSeriesWindow]:
+    """Group ``(x_t, y_t)`` samples into contiguous batches from ``start``."""
+    xs, ys = [], []
+    for item in pairs:
+        try:
+            x, y = item
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"stream item at timestamp {start + len(xs)} is not an "
+                f"(x, y) pair: {item!r}"
+            ) from exc
+        xs.append(np.atleast_1d(np.asarray(x, dtype=float)))
+        ys.append(np.atleast_1d(np.asarray(y, dtype=float)))
+        if len(xs) == batch_size:
+            yield TimeSeriesWindow(np.vstack(xs), np.vstack(ys), start)
+            start += len(xs)
+            xs, ys = [], []
+    if xs:
+        yield TimeSeriesWindow(np.vstack(xs), np.vstack(ys), start)
+
+
 def run_stream(source: Iterable, config: DetectorConfig,
                start_index: int = 0) -> tuple[list[DetectionEvent], list[dict]]:
     """Fold the detector over a stream of ``(x_t, y_t)`` samples.
@@ -374,31 +395,13 @@ def run_stream(source: Iterable, config: DetectorConfig,
     batch. Returns all detection events plus the per-iteration
     instrumentation records.
     """
-    detector = Detector(config)
     if isinstance(source, TimeSeriesWindow):
-        for batch in stream_batches(source, config.batch_size):
-            detector.step(batch)
-        return detector.events, detector.instrumentation
-
-    xs: list = []
-    ys: list = []
-    next_start = start_index
-    for item in source:
-        try:
-            x, y = item
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"stream item at timestamp {next_start + len(xs)} is not an "
-                f"(x, y) pair: {item!r}"
-            ) from exc
-        xs.append(np.atleast_1d(np.asarray(x, dtype=float)))
-        ys.append(np.atleast_1d(np.asarray(y, dtype=float)))
-        if len(xs) == config.batch_size:
-            detector.step(TimeSeriesWindow(np.vstack(xs), np.vstack(ys), next_start))
-            next_start += len(xs)
-            xs, ys = [], []
-    if xs:
-        detector.step(TimeSeriesWindow(np.vstack(xs), np.vstack(ys), next_start))
+        batches = stream_batches(source, config.batch_size)
+    else:
+        batches = _pair_batches(source, config.batch_size, start_index)
+    detector = Detector(config)
+    for batch in batches:
+        detector.step(batch)
     return detector.events, detector.instrumentation
 
 

@@ -22,6 +22,10 @@ class NonContiguousBatch(GocpdError):
     """An incoming batch does not continue the stream's timestamps."""
 
 
+class NonFiniteObservation(GocpdError, ValueError):
+    """An incoming batch holds a NaN or infinite input or output."""
+
+
 class ZeroVariance(GocpdError):
     """A channel has zero variance and cannot be standardized."""
 

@@ -1,4 +1,8 @@
-"""Candidate change point search.
+"""Candidate change point search primitives.
+
+This module holds the pieces; ``Detector._search_and_test`` is the one
+place that composes them (``effective_interval``, then a ``SplitScorer``,
+then ``ternary_argmax``).
 
 The split metric for a window spanning ``[start, t]`` and a split point
 ``tau`` is the sum of the averaged log-likelihoods of two models fitted on
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import EmptyDomain, TooFewPoints
+from .errors import EmptyDomain
 from .models import ModelParams, ObservationModel
 from .window import TimeSeriesWindow
 
@@ -40,7 +44,6 @@ class CandidateState:
     candidate: int
     candidate_score: float
     persistence: int = 0
-    eval_count_last_iter: int = 0
 
 
 def effective_interval(t: int, last_change: int, prev_candidate: int,
@@ -70,11 +73,10 @@ class SplitScorer:
     """
 
     def __init__(self, window: TimeSeriesWindow, left_model: ObservationModel,
-                 right_model: ObservationModel, warm_start: bool = True):
+                 right_model: ObservationModel):
         self.window = window
         self.left_model = left_model
         self.right_model = right_model
-        self.warm_start = warm_start
         self.cache: dict[int, SplitScore] = {}
         self.eval_count = 0
 
@@ -88,15 +90,14 @@ class SplitScorer:
         win = self.window
         if not (win.start_index < tau <= win.end_index):
             raise ValueError(f"split {tau} outside window ({win.start_index}, {win.end_index}]")
-        warm = self.warm_start
-        if warm and self.cache:
+        if self.cache:
             nearest = min(self.cache, key=lambda seen: abs(seen - tau))
             self.left_model.params = self.cache[nearest].left_params.copy()
             self.right_model.params = self.cache[nearest].right_params.copy()
         left = win.slice(win.start_index, tau - 1)
         right = win.slice(tau, win.end_index)
-        self.left_model.fit(left, warm_start=warm)
-        self.right_model.fit(right, warm_start=warm)
+        self.left_model.fit(left, warm_start=True)
+        self.right_model.fit(right, warm_start=True)
         value = (self.left_model.avg_log_likelihood(left)
                  + self.right_model.avg_log_likelihood(right))
         record = SplitScore(
@@ -108,25 +109,6 @@ class SplitScorer:
         self.cache[tau] = record
         self.eval_count += 1
         return record
-
-
-def split_score(window: TimeSeriesWindow, tau: int, left_model: ObservationModel,
-                right_model: ObservationModel, warm_start: bool = False) -> SplitScore:
-    """Fit the two segment models at split ``tau`` and return the metric.
-
-    Raises TooFewPoints when either segment is below the models' fitting
-    minimum.
-    """
-    min_fit = max(left_model.min_fit_points, right_model.min_fit_points)
-    left_len = tau - window.start_index
-    right_len = window.end_index - tau + 1
-    if left_len < min_fit or right_len < min_fit:
-        raise TooFewPoints(
-            f"split at {tau} leaves segments of {left_len} and {right_len} points; "
-            f"minimum is {min_fit}"
-        )
-    scorer = SplitScorer(window, left_model, right_model, warm_start=warm_start)
-    return scorer.evaluate(tau)
 
 
 def ternary_argmax(score: Callable[[int], float], lo: int, hi: int,
@@ -172,29 +154,3 @@ def ternary_argmax(score: Callable[[int], float], lo: int, hi: int,
             right = t2
         else:
             left, right = t1, t2
-
-
-def ternary_search(window: TimeSeriesWindow, prev_candidate: int,
-                   left_model: ObservationModel, right_model: ObservationModel,
-                   tol: int = DEFAULT_TOL, warm_start: bool = True) -> CandidateState:
-    """Locate the best split of ``window`` given the saved candidate.
-
-    The window spans the data since the last detected change. Raises
-    EmptyDomain when no admissible split exists (the caller keeps its
-    previous candidate).
-    """
-    min_fit = max(left_model.min_fit_points, right_model.min_fit_points)
-    domain = effective_interval(window.end_index, window.start_index,
-                                prev_candidate, min_fit)
-    if len(domain) == 0:
-        raise EmptyDomain(
-            f"no admissible split in window [{window.start_index}, {window.end_index}] "
-            f"with candidate {prev_candidate}"
-        )
-    scorer = SplitScorer(window, left_model, right_model, warm_start=warm_start)
-    tau = ternary_argmax(scorer.score, domain[0], domain[-1], prev_candidate, tol)
-    return CandidateState(
-        candidate=tau,
-        candidate_score=scorer.score(tau),
-        eval_count_last_iter=scorer.eval_count,
-    )

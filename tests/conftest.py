@@ -21,6 +21,18 @@ def mean_shift_window(n, change, delta, noise=0.1, seed=0, start=0):
     return TimeSeriesWindow(np.arange(start, start + n, dtype=float), y, start_index=start)
 
 
+def seeded_step_windows(count, seed=42, noise=0.1):
+    """Mean-shift windows of 60-200 points, SNR >= 5, change at 25-75%."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(60, 201))
+        change = int(n * rng.uniform(0.25, 0.75))
+        delta = rng.uniform(0.5, 1.5)
+        y = np.concatenate([rng.normal(0, noise, change),
+                            rng.normal(delta, noise, n - change)])
+        yield TimeSeriesWindow(np.arange(n, dtype=float), y)
+
+
 def scan_is_unimodal(scan, rel_prominence=0.20):
     """Single-peak check by topographic prominence.
 

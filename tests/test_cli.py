@@ -148,6 +148,18 @@ def test_detect_channel_mismatch_rejected(tmp_path, config_path, capsys):
     assert "channels" in capsys.readouterr().err
 
 
+def test_detect_non_finite_row_names_its_timestamp(tmp_path, config_path, capsys):
+    dpath = tmp_path / "nan.csv"
+    write_series_csv(dpath, step_example())
+    lines = dpath.read_text().splitlines()
+    lines[41] = "40,40.0,nan"
+    dpath.write_text("\n".join(lines) + "\n")
+    rc = main(["detect", "--data", str(dpath), "--config", str(config_path),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "t=40" in capsys.readouterr().err
+
+
 def test_detect_rerun_byte_identical_events(tmp_path, step_csv, config_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -4,7 +4,7 @@ import pytest
 from gocpd.datagen import step_example
 from gocpd.detector import (Detector, DetectorConfig, ModelSpec,
                             grid_search_thresholds, run_stream, stream_batches)
-from gocpd.errors import ConfigError, NonContiguousBatch
+from gocpd.errors import ConfigError, NonContiguousBatch, NonFiniteObservation
 from gocpd.window import TimeSeriesWindow
 
 
@@ -97,6 +97,55 @@ def test_step_stream_matches_exhaustive_scan_oracle():
     oracle_location = domain[int(np.argmax(scan))]
     assert len(det.events) == 1
     assert abs(det.events[0].change_point - oracle_location) <= 2
+
+
+def test_detector_search_equals_exhaustive_scan_when_scan_unimodal():
+    # Acceptance criterion 2's windows, each fed as one batch: the candidate
+    # the detector records is the scan's argmax on every unimodal window.
+    from conftest import fixed_iid, scan_is_unimodal, seeded_step_windows
+    from gocpd.search import SplitScorer, effective_interval
+
+    cfg = DetectorConfig(t_ini=30, model=ModelSpec(
+        family="iid", noise_std=0.1, fix_noise=True, min_fit_points=3))
+    unimodal = mismatches = 0
+    for w in seeded_step_windows(200, seed=42, noise=0.1):
+        scorer = SplitScorer(w, fixed_iid(0.1), fixed_iid(0.1))
+        domain = effective_interval(w.end_index, 0, 0, 3)
+        scan = np.array([scorer.score(tau) for tau in domain])
+        if not scan_is_unimodal(scan):
+            continue
+        unimodal += 1
+        det = Detector(cfg)
+        det.step(w)
+        mismatches += det.instrumentation[-1]["candidate"] != domain[int(scan.argmax())]
+    assert mismatches == 0
+    assert unimodal / 200 > 0.8
+
+
+def test_search_runs_through_the_traced_entry_points(monkeypatch):
+    # perfbench times the search by wrapping these two names; a detector
+    # that bypassed them would leave its search spans empty.
+    import gocpd.detector as detector_module
+    from gocpd.search import SplitScorer
+
+    calls = {"argmax": 0, "evaluate": 0}
+    argmax, evaluate = detector_module.ternary_argmax, SplitScorer.evaluate
+
+    def counting_argmax(*args, **kwargs):
+        calls["argmax"] += 1
+        return argmax(*args, **kwargs)
+
+    def counting_evaluate(*args, **kwargs):
+        calls["evaluate"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(detector_module, "ternary_argmax", counting_argmax)
+    monkeypatch.setattr(SplitScorer, "evaluate", counting_evaluate)
+    det = run_series(step_example(), step_config())
+    searched = [r for r in det.instrumentation if r["searched"]]
+    assert searched
+    assert calls["argmax"] == len(searched)
+    assert calls["evaluate"] >= sum(r["evals"] for r in searched)
 
 
 def test_detected_changes_strictly_increasing_with_min_delay():
@@ -201,6 +250,34 @@ def test_degraded_step_keeps_stream_alive(caplog):
     assert det.instrumentation[-1]["error"] is not None
 
 
+def test_non_finite_observation_raises_at_its_step():
+    clean = run_series(step_example(), step_config())
+    assert [(e.change_point, e.declared_at) for e in clean.events] == [(50, 71)]
+    for bad in (np.nan, np.inf):
+        y = step_example().outputs[:, 0].copy()
+        y[40] = bad
+        det = Detector(step_config())
+        for batch in stream_batches(TimeSeriesWindow(np.arange(101.0), y), 1):
+            if batch.start_index == 40:
+                window, records = det.window, len(det.instrumentation)
+                with pytest.raises(NonFiniteObservation, match="t=40"):
+                    det.step(batch)
+                assert det.window is window
+                assert len(det.instrumentation) == records
+                batch = step_example().slice(40, 40)  # resend it clean
+            det.step(batch)
+        assert [e.to_dict() for e in det.events] == [e.to_dict() for e in clean.events]
+
+
+def test_non_finite_input_named_by_first_bad_timestamp():
+    x = np.arange(10.0)
+    x[7], x[8] = -np.inf, np.nan
+    det = Detector(step_config())
+    with pytest.raises(NonFiniteObservation, match="t=7"):
+        det.step(TimeSeriesWindow(x, np.zeros(10)))
+    assert det.window is None
+
+
 def test_fixed_gp_nan_raises_at_its_step():
     y = np.random.default_rng(8).normal(size=60)
     y[40] = np.nan
@@ -267,14 +344,6 @@ def test_raising_thresholds_never_increases_detections():
     assert counts == sorted(counts, reverse=True)
 
 
-def test_counter_freeze_flag_keeps_persistence_on_move():
-    # with freeze enabled, a candidate jump with the criterion still holding
-    # must not zero the counter
-    config = step_config(freeze_on_candidate_move=True)
-    det = run_series(step_example(), config)
-    assert len(det.events) == 1
-
-
 # -- run_stream ----------------------------------------------------------------------
 
 def test_run_stream_empty_source():
@@ -284,12 +353,17 @@ def test_run_stream_empty_source():
 
 
 def test_run_stream_from_pairs_matches_window_replay():
+    # batch size 3 leaves a partial last batch of pair input
     w = step_example()
-    cfg = step_config()
-    events_a, _ = run_stream(w, cfg)
-    pairs = [(w.inputs[i], w.outputs[i]) for i in range(len(w))]
-    events_b, _ = run_stream(pairs, cfg)
-    assert [e.change_point for e in events_a] == [e.change_point for e in events_b]
+    strip = lambda rec: {k: v for k, v in rec.items() if k != "elapsed_s"}
+    for batch_size in (1, 3):
+        cfg = step_config(batch_size=batch_size)
+        events_a, records_a = run_stream(w, cfg)
+        pairs = [(w.inputs[i], w.outputs[i]) for i in range(len(w))]
+        events_b, records_b = run_stream(pairs, cfg)
+        assert [e.change_point for e in events_a] == [e.change_point for e in events_b]
+        assert [e.to_dict() for e in events_a] == [e.to_dict() for e in events_b]
+        assert [strip(r) for r in records_a] == [strip(r) for r in records_b]
 
 
 def test_run_stream_rejects_malformed_items():

@@ -5,8 +5,7 @@ from gocpd.datagen import step_example
 from gocpd.errors import EmptyDomain, TooFewPoints
 from gocpd.metrics import evaluation_count_bound
 from gocpd.models import IidGaussianModel, ModelParams
-from gocpd.search import (SplitScorer, effective_interval, split_score,
-                          ternary_argmax, ternary_search)
+from gocpd.search import SplitScorer, effective_interval, ternary_argmax
 from gocpd.window import TimeSeriesWindow
 
 
@@ -19,6 +18,13 @@ def step_window(n_left=50, n_right=51, delta=1.0, noise=0.1, seed=0):
     rng = np.random.default_rng(seed)
     y = np.concatenate([rng.normal(0, noise, n_left), rng.normal(delta, noise, n_right)])
     return TimeSeriesWindow(np.arange(len(y), dtype=float), y)
+
+
+def search(w, prev, tol=2, noise=0.001):
+    """One fresh-scorer search of ``w``, composed as the detector does."""
+    scorer = SplitScorer(w, fixed_iid(noise=noise), fixed_iid(noise=noise))
+    dom = effective_interval(w.end_index, w.start_index, prev, 3)
+    return ternary_argmax(scorer.score, dom.start, dom.stop - 1, prev, tol), scorer
 
 
 class CountingScore:
@@ -98,13 +104,13 @@ def test_empty_domain_raises():
         ternary_argmax(lambda tau: 0.0, 5, 4, prev=5)
 
 
-# -- split_score ---------------------------------------------------------------
+# -- SplitScorer ---------------------------------------------------------------
 
 def test_split_score_peaks_at_true_change():
     w = step_window()
     scores = {}
     for tau in (25, 50, 75):
-        scores[tau] = split_score(w, tau, fixed_iid(), fixed_iid()).score
+        scores[tau] = SplitScorer(w, fixed_iid(), fixed_iid()).evaluate(tau).score
     assert scores[50] > scores[25]
     assert scores[50] > scores[75]
 
@@ -115,16 +121,16 @@ def test_split_score_on_constant_data_matches_single_model():
     m = fixed_iid(noise=0.1)
     m.fit(w)
     whole = m.avg_log_likelihood(w)
-    s = split_score(w, 20, fixed_iid(noise=0.1), fixed_iid(noise=0.1)).score
+    s = SplitScorer(w, fixed_iid(noise=0.1), fixed_iid(noise=0.1)).evaluate(20).score
     assert s == pytest.approx(2 * whole, rel=1e-9)
 
 
 def test_split_score_rejects_tiny_segments():
     w = step_window()
     with pytest.raises(TooFewPoints):
-        split_score(w, 1, fixed_iid(), fixed_iid())
+        SplitScorer(w, fixed_iid(), fixed_iid()).evaluate(1)
     with pytest.raises(TooFewPoints):
-        split_score(w, 100, fixed_iid(), fixed_iid())
+        SplitScorer(w, fixed_iid(), fixed_iid()).evaluate(100)
 
 
 def test_scorer_memoizes_and_counts_unique_evaluations():
@@ -138,35 +144,25 @@ def test_scorer_memoizes_and_counts_unique_evaluations():
     assert scorer.eval_count == 2
 
 
-# -- ternary_search over real windows ------------------------------------------
+# -- ternary_argmax over real windows ------------------------------------------
 
 def test_step_data_candidate_near_true_change():
     w = step_window()
-    state = ternary_search(w, prev_candidate=1, left_model=fixed_iid(),
-                           right_model=fixed_iid(), tol=2)
-    assert 49 <= state.candidate <= 51
+    candidate, scorer = search(w, prev=1, tol=2)
+    assert 49 <= candidate <= 51
     dom = effective_interval(100, 0, 1, 3)
-    assert state.eval_count_last_iter <= evaluation_count_bound(len(dom))
+    assert scorer.eval_count <= evaluation_count_bound(len(dom))
 
 
 def test_search_equals_exhaustive_scan_when_scan_unimodal():
     # Seeded mean-shift windows; whenever the scanned metric is unimodal
     # (single peak by topographic prominence) the search must return its
     # argmax. Non-unimodal draws are skipped and must stay rare.
-    from conftest import scan_is_unimodal
+    from conftest import scan_is_unimodal, seeded_step_windows
 
-    rng = np.random.default_rng(42)
     checked = non_unimodal = 0
-    for trial in range(100):
-        n = int(rng.integers(60, 201))
-        change = int(n * rng.uniform(0.25, 0.75))
-        noise = 0.1
-        delta = rng.uniform(0.5, 1.5)  # SNR >= 5
-        y = np.concatenate([
-            rng.normal(0, noise, change),
-            rng.normal(delta, noise, n - change),
-        ])
-        w = TimeSeriesWindow(np.arange(n, dtype=float), y)
+    noise = 0.1
+    for w in seeded_step_windows(100, seed=42, noise=noise):
         scorer = SplitScorer(w, fixed_iid(noise=noise), fixed_iid(noise=noise))
         dom = effective_interval(w.end_index, 0, 0, 3)
         scan = np.array([scorer.score(tau) for tau in dom])
@@ -174,24 +170,21 @@ def test_search_equals_exhaustive_scan_when_scan_unimodal():
         if not scan_is_unimodal(scan):
             non_unimodal += 1
             continue
-        state = ternary_search(w, prev_candidate=0, left_model=fixed_iid(noise=noise),
-                               right_model=fixed_iid(noise=noise), tol=2)
-        assert state.candidate == dom[int(scan.argmax())]
+        candidate, _ = search(w, prev=0, tol=2, noise=noise)
+        assert candidate == dom[int(scan.argmax())]
     assert non_unimodal / checked < 0.2
 
 
 def test_search_respects_saved_candidate_lower_bound():
     w = step_window()
-    state = ternary_search(w, prev_candidate=60, left_model=fixed_iid(),
-                           right_model=fixed_iid(), tol=2)
-    assert state.candidate >= 60
+    candidate, _ = search(w, prev=60, tol=2)
+    assert candidate >= 60
 
 
 def test_search_empty_domain_raises():
     w = step_window(n_left=4, n_right=4)
     with pytest.raises(EmptyDomain):
-        ternary_search(w, prev_candidate=7, left_model=fixed_iid(),
-                       right_model=fixed_iid())
+        search(w, prev=7)
 
 
 def test_candidates_monotone_as_stream_grows():
@@ -202,11 +195,10 @@ def test_candidates_monotone_as_stream_grows():
     seen = []
     for t in range(30, 101, 5):
         w = full.slice(0, t)
-        state = ternary_search(w, prev_candidate=prev, left_model=fixed_iid(),
-                               right_model=fixed_iid(), tol=2)
-        seen.append(state.candidate)
-        assert state.candidate >= prev
-        prev = state.candidate
+        candidate, _ = search(w, prev=prev, tol=2)
+        seen.append(candidate)
+        assert candidate >= prev
+        prev = candidate
     assert seen == sorted(seen)
 
 
