@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ZeroVariance
 from .models import Kernel, ModelParams, chol_with_jitter
-from .window import TimeSeriesWindow
+from .window import TimeSeriesWindow, require_finite
 
 VARIABLE_PARAMS = ("lengthscale", "output_scale", "mean", "noise_std")
 
@@ -150,8 +150,10 @@ def standardize(window: TimeSeriesWindow) -> tuple[TimeSeriesWindow, list[tuple[
 
     Returns the transformed window and the per-channel ``(mean, std)``
     pairs needed to invert the transform. Raises ZeroVariance for a
-    constant channel.
+    constant channel, and NonFiniteObservation naming the first timestamp
+    that holds a NaN or inf, before any statistic could spread it.
     """
+    require_finite(window)
     y = window.outputs
     transform = []
     cols = []

@@ -22,19 +22,17 @@ conjunction fails and the persistence counter restarts.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (ConfigError, NonContiguousBatch, NonFiniteObservation,
-                     NonPositiveDefinite, TooFewPoints)
+from .errors import ConfigError, NonContiguousBatch, NonPositiveDefinite, TooFewPoints
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel, UniformGramFactor)
 from .search import CandidateState, SplitScorer, effective_interval, ternary_argmax
-from .window import TimeSeriesWindow
+from .window import TimeSeriesWindow, require_finite
 
 logger = logging.getLogger("gocpd.detector")
 
@@ -51,7 +49,6 @@ class ModelSpec:
     mean: list[float] = field(default_factory=lambda: [0.0])
     channels: int = 1
     fix_noise: bool = False
-    fix_mean: bool = False
     fix_kernel: bool = False
     fix_output_scale: bool = False
     min_fit_points: int = 3
@@ -82,13 +79,10 @@ class ModelSpec:
             kernel=Kernel(self.kernel) if self.family == "gp" else None,
         )
         if self.family == "iid":
-            return IidGaussianModel(
-                params, min_fit_points=self.min_fit_points,
-                fix_noise=self.fix_noise, fix_mean=self.fix_mean,
-            )
+            return IidGaussianModel(params, min_fit_points=self.min_fit_points,
+                                    fix_noise=self.fix_noise)
         return GaussianProcessModel(
-            params, min_fit_points=self.min_fit_points,
-            fix_noise=self.fix_noise, fix_mean=self.fix_mean,
+            params, min_fit_points=self.min_fit_points, fix_noise=self.fix_noise,
             fix_kernel=self.fix_kernel, fix_output_scale=self.fix_output_scale,
             max_fit_iters=self.max_fit_iters, gram_factor=gram_factor,
         )
@@ -211,11 +205,7 @@ class Detector:
     # -- stream plumbing -----------------------------------------------------
 
     def _absorb(self, batch: TimeSeriesWindow) -> None:
-        # math.isfinite per element beats numpy reductions on one-point batches
-        if not (all(map(math.isfinite, batch.inputs.flat))
-                and all(map(math.isfinite, batch.outputs.flat))):
-            row = np.isfinite(np.hstack([batch.inputs, batch.outputs])).all(axis=1).argmin()
-            raise NonFiniteObservation(f"non-finite observation at t={batch.start_index + row}")
+        require_finite(batch)
         if self.window is None:
             self.window = batch
             self.last_change = batch.start_index
@@ -284,7 +274,7 @@ class Detector:
     def _search_and_test(self, t: int) -> DetectionEvent | None:
         cfg = self.config
         data = self.window
-        self.m0.fit(data, warm_start=True)
+        self.m0.fit(data)
 
         prev_candidate = self.candidate.candidate if self.candidate else self.last_change
         prev_k = self.candidate.persistence if self.candidate else 0
@@ -314,7 +304,7 @@ class Detector:
 
         self.candidate = state
         self._record(
-            t, searched=True, domain_size=len(domain), evals=scorer.eval_count,
+            t, searched=True, domain_size=len(domain), evals=len(scorer.cache),
             criterion=satisfied, stable=stable, distance_left=d_left,
             distance_right=d_right,
         )

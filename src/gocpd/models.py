@@ -11,7 +11,7 @@ stay model-agnostic:
 
 Every model exposes:
 
-* ``fit(window, warm_start=...)`` -- maximum-likelihood parameter fitting;
+* ``fit(window)`` -- maximum-likelihood parameter fitting;
 * ``log_likelihood(window)`` -- exact Gaussian (marginal) log-density;
 * ``avg_log_likelihood(window)`` -- log-likelihood divided by window length;
 * ``posterior(query_inputs, train=...)`` -- predictive mean and covariance,
@@ -20,6 +20,12 @@ Every model exposes:
 * ``mahalanobis(window)`` / ``modified_mahalanobis(window)`` -- the distance
   ``sqrt(r^T Sigma^{-1} r)`` of the observations from the predictive mean,
   and the length-corrected variant ``d^(2/n)``.
+
+Every fit starts from the model's current ``params`` and ends by binding
+``params`` to a new ``ModelParams`` built in that call; it never writes to
+a parameter object it did not create, so callers may keep fitted ``params``
+and hand them back as a later starting point without copying. ``reset()``
+is the only way back to the priors.
 
 When every GP hyperparameter is fixed, the models of one detector share a
 ``UniformGramFactor``: a growing lower Cholesky factor of the noisy Gram on
@@ -60,6 +66,7 @@ _LOG_BOUNDS = {
     "output_scale": (math.log(1e-6), math.log(1e5)),
     "noise_std": (math.log(_NOISE_FLOOR), math.log(1e5)),
 }
+_GRAD_TOL = 1e-5  # gradient norm that ends a GP fit
 
 
 class Kernel(str, Enum):
@@ -257,7 +264,8 @@ class ObservationModel:
 
     # -- interface implemented by families ---------------------------------
 
-    def fit(self, window: TimeSeriesWindow, warm_start: bool = False) -> "ObservationModel":
+    def fit(self, window: TimeSeriesWindow) -> "ObservationModel":
+        """Fit from the current ``params``; bind ``params`` to a new object."""
         raise NotImplementedError
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
@@ -306,20 +314,20 @@ class IidGaussianModel(ObservationModel):
     """
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 1,
-                 fix_noise: bool = False, fix_mean: bool = False):
+                 fix_noise: bool = False):
         super().__init__(prior_params, min_fit_points=min_fit_points)
         self.fix_noise = fix_noise
-        self.fix_mean = fix_mean
 
-    def fit(self, window: TimeSeriesWindow, warm_start: bool = False) -> "IidGaussianModel":
+    def fit(self, window: TimeSeriesWindow) -> "IidGaussianModel":
         self._check_window(window)
         self._check_fit_size(window)
-        y = window.outputs
-        if not self.fix_mean:
-            self.params.mean = y.mean(axis=0)
+        y, p = window.outputs, self.params
+        mean = y.mean(axis=0)
+        noise_std = p.noise_std
         if not self.fix_noise:
-            resid = y - self.params.mean
-            self.params.noise_std = max(float(np.sqrt(np.mean(resid**2))), _NOISE_FLOOR)
+            noise_std = max(float(np.sqrt(np.mean((y - mean)**2))), _NOISE_FLOOR)
+        # Built directly: dataclasses.replace costs about 3x more per fit.
+        self.params = ModelParams(mean, noise_std, p.lengthscale, p.output_scale, p.kernel)
         return self
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
@@ -357,31 +365,31 @@ class GaussianProcessModel(ObservationModel):
     noisy outputs.
 
     Fitting is gradient ascent on the log marginal likelihood in the log
-    of each positive hyperparameter, with the per-channel means set to
-    their exact conditional optimum each iteration. Iterations are capped
+    of each fitted hyperparameter, with the per-channel means set to their
+    exact conditional optimum each iteration. Iterations are capped
     (``max_fit_iters``) and stop early when the gradient norm falls below
-    ``grad_tol``.
+    ``_GRAD_TOL``. The ``fix_*`` flags choose at construction which
+    hyperparameters are fitted; ``fitted`` names them in gradient order.
 
     ``gram_factor``, when given, is a ``UniformGramFactor`` shared with the
-    detector's other models; it is used only while no hyperparameter is
-    being fitted.
+    detector's other models; it is kept only when no hyperparameter is
+    fitted.
     """
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 3,
-                 fix_noise: bool = False, fix_mean: bool = False,
-                 fix_kernel: bool = False, fix_output_scale: bool = False,
-                 max_fit_iters: int = 50, grad_tol: float = 1e-5,
+                 fix_noise: bool = False, fix_kernel: bool = False,
+                 fix_output_scale: bool = False, max_fit_iters: int = 50,
                  gram_factor: UniformGramFactor | None = None):
         if prior_params.kernel is None:
             raise ValueError("GaussianProcessModel requires a kernel kind")
         super().__init__(prior_params, min_fit_points=min_fit_points)
-        self.fix_noise = fix_noise
-        self.fix_mean = fix_mean
-        self.fix_kernel = fix_kernel
-        self.fix_output_scale = fix_output_scale
+        learn_kernel = not fix_kernel and prior_params.kernel == Kernel.RBF
+        self.fitted = tuple(name for name, on in (
+            ("lengthscale", learn_kernel),
+            ("output_scale", learn_kernel and not fix_output_scale),
+            ("noise_std", not fix_noise)) if on)
         self.max_fit_iters = int(max_fit_iters)
-        self.grad_tol = float(grad_tol)
-        self.gram_factor = gram_factor
+        self.gram_factor = None if self.fitted else gram_factor
 
     # -- kernel -------------------------------------------------------------
 
@@ -405,7 +413,7 @@ class GaussianProcessModel(ObservationModel):
 
     def _chol(self, x: np.ndarray, params: ModelParams) -> np.ndarray:
         """Lower Cholesky factor of the noisy Gram on ``x``."""
-        if self.gram_factor is not None and not self._active_names():
+        if self.gram_factor is not None:
             lower = self.gram_factor.leading(x, params, self._gram)
             if lower is not None:
                 return lower
@@ -428,83 +436,69 @@ class GaussianProcessModel(ObservationModel):
 
     # -- fitting -------------------------------------------------------------
 
-    def _active_names(self) -> list[str]:
-        names = []
-        if not self.fix_kernel and self.params.kernel == Kernel.RBF:
-            names.append("lengthscale")
-            if not self.fix_output_scale:
-                names.append("output_scale")
-        if not self.fix_noise:
-            names.append("noise_std")
-        return names
-
-    def _grad_dmats(self, x: np.ndarray, params: ModelParams) -> dict[str, np.ndarray]:
-        """Derivatives of the noisy Gram matrix w.r.t. each active log-parameter."""
-        out: dict[str, np.ndarray] = {}
-        n = len(x)
-        if not self.fix_kernel and params.kernel == Kernel.RBF:
-            sq = self._sqdist(x, x)
+    def _grad_dmats(self, sq: np.ndarray, params: ModelParams) -> list[np.ndarray]:
+        """Noisy-Gram derivatives in the ``fitted`` log-parameters, given the
+        squared input distances ``sq``."""
+        out = []
+        if "lengthscale" in self.fitted:
             ks = params.output_scale**2 * np.exp(-0.5 * sq / params.lengthscale**2)
-            out["lengthscale"] = ks * (sq / params.lengthscale**2)
-            if not self.fix_output_scale:
-                out["output_scale"] = 2.0 * ks
-        if not self.fix_noise:
-            out["noise_std"] = 2.0 * params.noise_std**2 * np.eye(n)
+            out.append(ks * (sq / params.lengthscale**2))
+            if "output_scale" in self.fitted:
+                out.append(2.0 * ks)
+        if "noise_std" in self.fitted:
+            out.append(2.0 * params.noise_std**2 * np.eye(len(sq)))
         return out
 
     def _fit_mean(self, window: TimeSeriesWindow, params: ModelParams) -> np.ndarray:
         """Set the means to their exact optimum; returns the Gram factor."""
         y = window.outputs
         chol_lower = self._chol(window.inputs, params)
-        if not self.fix_mean:
-            z_one = solve_triangular(chol_lower, np.ones(len(y)), lower=True)
-            denom = z_one @ z_one
-            params.mean = np.array([
-                float(z_one @ solve_triangular(chol_lower, y[:, c], lower=True) / denom)
-                for c in range(self.channel_count)
-            ])
+        z_one = solve_triangular(chol_lower, np.ones(len(y)), lower=True)
+        denom = z_one @ z_one
+        params.mean = np.array([
+            float(z_one @ solve_triangular(chol_lower, y[:, c], lower=True) / denom)
+            for c in range(self.channel_count)
+        ])
         return chol_lower
 
-    def _objective(self, window: TimeSeriesWindow, params: ModelParams) -> float:
-        """Marginal log-likelihood, with the means set to their exact optimum."""
+    def _objective(self, window: TimeSeriesWindow,
+                   params: ModelParams) -> tuple[float, np.ndarray]:
+        """Marginal log-likelihood, with the means set to their exact optimum,
+        and the Gram factor it used."""
         chol_lower = self._fit_mean(window, params)
-        return self._log_likelihood_chol(window, params, chol_lower)
+        return self._log_likelihood_chol(window, params, chol_lower), chol_lower
 
     def _gradient(self, window: TimeSeriesWindow, params: ModelParams,
-                  active: list[str]) -> np.ndarray:
-        """Gradient of the marginal log-likelihood in the active log-parameters."""
-        x, y = window.inputs, window.outputs
-        n = len(x)
-        ky = self._noisy_gram(x, params)
-        chol_lower = chol_with_jitter(ky)
-        kinv = cho_solve((chol_lower, True), np.eye(n))
+                  chol_lower: np.ndarray, sq: np.ndarray) -> np.ndarray:
+        """Gradient of the marginal log-likelihood in the fitted log-parameters,
+        from the factor ``_objective`` returned (the means leave the Gram alone)."""
+        y = window.outputs
+        kinv = cho_solve((chol_lower, True), np.eye(len(y)))
         alphas = [kinv @ (y[:, c] - params.mean[c]) for c in range(self.channel_count)]
-        dmats = self._grad_dmats(x, params)
         grad = []
-        for name in active:
-            dmat = dmats[name]
+        for dmat in self._grad_dmats(sq, params):
             quad = sum(a @ dmat @ a for a in alphas)
             trace = float(np.sum(kinv * dmat))  # dmat symmetric
             grad.append(0.5 * quad - 0.5 * self.channel_count * trace)
         return np.array(grad)
 
-    def fit(self, window: TimeSeriesWindow, warm_start: bool = False) -> "GaussianProcessModel":
+    def fit(self, window: TimeSeriesWindow) -> "GaussianProcessModel":
         self._check_window(window)
         self._check_fit_size(window)
-        params = self.params.copy() if warm_start else self.prior_params.copy()
+        params = self.params.copy()
 
-        active = self._active_names()
-        if not active:
+        if not self.fitted:
             # Fixed kernel and noise: the means are the whole fit.
             self._fit_mean(window, params)
             self.params = params
             return self
-        objective = self._objective(window, params)
+        sq = self._sqdist(window.inputs, window.inputs)
+        objective, chol_lower = self._objective(window, params)
         step = 0.25  # step length in log-parameter units
         for _ in range(self.max_fit_iters):
-            gvec = self._gradient(window, params, active)
+            gvec = self._gradient(window, params, chol_lower, sq)
             gnorm = float(np.linalg.norm(gvec))
-            if gnorm < self.grad_tol:
+            if gnorm < _GRAD_TOL:
                 break
             direction = gvec / gnorm
             # Backtracking on the objective only; gradients are recomputed
@@ -512,17 +506,17 @@ class GaussianProcessModel(ObservationModel):
             improved = False
             for _ in range(8):
                 trial = params.copy()
-                for i, name in enumerate(active):
+                for i, name in enumerate(self.fitted):
                     lo, hi = _LOG_BOUNDS[name]
                     new_log = min(max(math.log(getattr(params, name)) + step * direction[i], lo), hi)
                     setattr(trial, name, math.exp(new_log))
                 try:
-                    trial_objective = self._objective(window, trial)
+                    trial_objective, trial_chol = self._objective(window, trial)
                 except NonPositiveDefinite:
                     step *= 0.5
                     continue
                 if trial_objective > objective:
-                    params, objective = trial, trial_objective
+                    params, objective, chol_lower = trial, trial_objective, trial_chol
                     step = min(step * 1.5, 1.0)
                     improved = True
                     break

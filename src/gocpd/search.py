@@ -69,7 +69,9 @@ class SplitScorer:
     single iteration; build a fresh one when the stream advances. Each
     evaluation fits the left/right models, warm-starting from the nearest
     previously evaluated split of this iteration (or, for the first
-    evaluation, from the models' current parameters).
+    evaluation, from the models' current parameters). Fits never write to
+    the parameters they start from, so cached parameters are handed back
+    by reference. ``len(cache)`` counts the evaluations made.
     """
 
     def __init__(self, window: TimeSeriesWindow, left_model: ObservationModel,
@@ -78,7 +80,6 @@ class SplitScorer:
         self.left_model = left_model
         self.right_model = right_model
         self.cache: dict[int, SplitScore] = {}
-        self.eval_count = 0
 
     def score(self, tau: int) -> float:
         return self.evaluate(tau).score
@@ -92,22 +93,21 @@ class SplitScorer:
             raise ValueError(f"split {tau} outside window ({win.start_index}, {win.end_index}]")
         if self.cache:
             nearest = min(self.cache, key=lambda seen: abs(seen - tau))
-            self.left_model.params = self.cache[nearest].left_params.copy()
-            self.right_model.params = self.cache[nearest].right_params.copy()
+            self.left_model.params = self.cache[nearest].left_params
+            self.right_model.params = self.cache[nearest].right_params
         left = win.slice(win.start_index, tau - 1)
         right = win.slice(tau, win.end_index)
-        self.left_model.fit(left, warm_start=True)
-        self.right_model.fit(right, warm_start=True)
+        self.left_model.fit(left)
+        self.right_model.fit(right)
         value = (self.left_model.avg_log_likelihood(left)
                  + self.right_model.avg_log_likelihood(right))
         record = SplitScore(
             tau=tau,
             score=float(value),
-            left_params=self.left_model.params.copy(),
-            right_params=self.right_model.params.copy(),
+            left_params=self.left_model.params,
+            right_params=self.right_model.params,
         )
         self.cache[tau] = record
-        self.eval_count += 1
         return record
 
 

@@ -8,7 +8,11 @@ C-dimensional (one value per channel). Slicing by absolute timestamps
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import NonFiniteObservation
 
 
 class TimeSeriesWindow:
@@ -88,3 +92,12 @@ class TimeSeriesWindow:
             f"TimeSeriesWindow(t={self.start_index}..{self.end_index}, "
             f"D={self.input_dim}, C={self.channel_count})"
         )
+
+
+def require_finite(window: TimeSeriesWindow) -> None:
+    """Raise NonFiniteObservation naming the first timestamp with a NaN or inf."""
+    # math.isfinite per element beats numpy reductions on one-point batches
+    if not (all(map(math.isfinite, window.inputs.flat))
+            and all(map(math.isfinite, window.outputs.flat))):
+        row = np.isfinite(np.hstack([window.inputs, window.outputs])).all(axis=1).argmin()
+        raise NonFiniteObservation(f"non-finite observation at t={window.start_index + row}")

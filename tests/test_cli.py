@@ -148,14 +148,28 @@ def test_detect_channel_mismatch_rejected(tmp_path, config_path, capsys):
     assert "channels" in capsys.readouterr().err
 
 
-def test_detect_non_finite_row_names_its_timestamp(tmp_path, config_path, capsys):
+def nan_at_forty_csv(tmp_path):
     dpath = tmp_path / "nan.csv"
     write_series_csv(dpath, step_example())
     lines = dpath.read_text().splitlines()
     lines[41] = "40,40.0,nan"
     dpath.write_text("\n".join(lines) + "\n")
-    rc = main(["detect", "--data", str(dpath), "--config", str(config_path),
-               "--out", str(tmp_path / "run")])
+    return dpath
+
+
+def test_detect_non_finite_row_names_its_timestamp(tmp_path, config_path, capsys):
+    rc = main(["detect", "--data", str(nan_at_forty_csv(tmp_path)),
+               "--config", str(config_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "t=40" in capsys.readouterr().err
+
+
+def test_detect_standardize_non_finite_row_names_its_timestamp(tmp_path, config_path,
+                                                               capsys):
+    # The NaN must be named before standardizing spreads it over the channel.
+    rc = main(["detect", "--data", str(nan_at_forty_csv(tmp_path)),
+               "--config", str(config_path), "--out", str(tmp_path / "run"),
+               "--standardize"])
     assert rc == 2
     assert "t=40" in capsys.readouterr().err
 

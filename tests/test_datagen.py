@@ -4,7 +4,7 @@ import pytest
 from gocpd.datagen import (FACTOR_TABLES, RegimeScript, downsample,
                            sample_piecewise_gp, standard_script, standardize,
                            step_example)
-from gocpd.errors import ZeroVariance
+from gocpd.errors import NonFiniteObservation, ZeroVariance
 from gocpd.models import Kernel, ModelParams
 from gocpd.window import TimeSeriesWindow
 
@@ -171,6 +171,15 @@ def test_standardize_already_standard_is_identity():
 def test_standardize_rejects_constant_channel():
     w = TimeSeriesWindow(np.arange(4.0), np.full(4, 2.5))
     with pytest.raises(ZeroVariance):
+        standardize(w)
+
+
+def test_standardize_names_first_non_finite_timestamp():
+    y = np.column_stack([np.arange(10.0), np.arange(10.0)])
+    y[6, 0] = np.inf
+    y[4, 1] = np.nan
+    w = TimeSeriesWindow(np.arange(30.0, 40.0), y, start_index=30)
+    with pytest.raises(NonFiniteObservation, match="t=34"):
         standardize(w)
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gocpd.datagen import step_example
 from gocpd.detector import (Detector, DetectorConfig, ModelSpec,
@@ -64,6 +68,10 @@ def test_config_from_dict_rejects_unknown_fields():
     doc = DetectorConfig().to_dict()
     doc["nu3"] = 1.0
     with pytest.raises(ConfigError, match="nu3"):
+        DetectorConfig.from_dict(doc)
+    doc = DetectorConfig().to_dict()
+    doc["model"]["fix_mean"] = True
+    with pytest.raises(ConfigError, match="fix_mean"):
         DetectorConfig.from_dict(doc)
 
 
@@ -379,6 +387,34 @@ def test_replay_is_deterministic():
     assert [e.to_dict() for e in a[0]] == [e.to_dict() for e in b[0]]
     strip = lambda rec: {k: v for k, v in rec.items() if k != "elapsed_s"}
     assert [strip(r) for r in a[1]] == [strip(r) for r in b[1]]
+
+
+@given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 5))
+@settings(max_examples=15, deadline=None)
+def test_replay_properties_on_random_mean_shift_streams(seed, batch_size):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(40, 90, size=3)
+    levels = rng.uniform(-1.5, 1.5, size=3)
+    y = np.concatenate([rng.normal(level, 0.1, n) for level, n in zip(levels, sizes)])
+    w = TimeSeriesWindow(np.arange(len(y), dtype=float), y)
+    cfg = step_config(batch_size=batch_size, wait=10)
+    events, records = run_stream(w, cfg)
+    again_events, again_records = run_stream(w, cfg)
+    strip = lambda rec: {k: v for k, v in rec.items() if k != "elapsed_s"}
+    assert [e.to_dict() for e in events] == [e.to_dict() for e in again_events]
+    assert [strip(r) for r in records] == [strip(r) for r in again_records]
+
+    declared = {e.declared_at for e in events}
+    prev = None
+    for rec in records:
+        if rec["candidate"] is not None and prev is not None:
+            assert rec["candidate"] >= prev
+        prev = None if rec["t"] in declared else rec["candidate"]
+
+    searched = [r for r in records if r["searched"]]
+    assert searched
+    for rec in searched:
+        assert all(math.isfinite(rec[k]) for k in ("score", "distance_left", "distance_right"))
 
 
 def test_batched_replay_still_detects():

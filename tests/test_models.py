@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
+import gocpd.models as models
 from gocpd.errors import NonPositiveDefinite, TooFewPoints
 from gocpd.models import (GaussianProcessModel, IidGaussianModel, Kernel,
                           ModelParams, UniformGramFactor, chol_with_jitter)
@@ -174,9 +175,10 @@ def test_warm_start_begins_from_current_params():
     w = window(rng.normal(size=30))
     m = gp(max_fit_iters=0)  # no iterations: fit returns the start point
     m.params.lengthscale = 3.21
-    m.fit(w, warm_start=True)
+    m.fit(w)
     assert m.params.lengthscale == pytest.approx(3.21)
-    m.fit(w, warm_start=False)
+    m.reset()  # the only way back to the priors
+    m.fit(w)
     assert m.params.lengthscale == pytest.approx(m.prior_params.lengthscale)
 
 
@@ -189,6 +191,43 @@ def test_reset_restores_priors_bit_exact():
     m.reset()
     assert m.params.equals(prior)
     assert m.params.mean is not m.prior_params.mean  # independent storage
+
+
+@pytest.mark.parametrize("make", [
+    lambda: iid(mean=0.3, noise=0.5),
+    lambda: gp(fix_kernel=True, fix_noise=True),
+    lambda: gp(max_fit_iters=5),
+], ids=["iid", "fixed_gp", "learned_gp"])
+def test_fit_never_writes_to_its_starting_params(make):
+    m = make()
+    start = m.params
+    snapshot = start.copy()
+    m.fit(window(np.random.default_rng(6).normal(1.0, 0.4, size=25)))
+    assert start.equals(snapshot)
+    assert m.params is not start
+    assert not m.params.equals(snapshot)  # the fit did move the parameters
+
+
+def test_learned_fit_factors_the_gram_once_per_objective(monkeypatch):
+    counts = {"cholesky": 0, "objective": 0}
+    raw_cholesky = models.cholesky
+
+    def counting_cholesky(*args, **kwargs):
+        counts["cholesky"] += 1
+        return raw_cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(models, "cholesky", counting_cholesky)
+    m = gp(max_fit_iters=3)
+    raw_objective = m._objective
+
+    def counting_objective(*args):
+        counts["objective"] += 1
+        return raw_objective(*args)
+
+    monkeypatch.setattr(m, "_objective", counting_objective)
+    m.fit(window(np.random.default_rng(7).normal(size=30)))
+    assert counts["objective"] >= 4  # the start point and a trial per iteration
+    assert counts["cholesky"] == counts["objective"]  # the gradient adds none
 
 
 # -- posterior ----------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from gocpd.datagen import step_example
 from gocpd.errors import EmptyDomain, TooFewPoints
 from gocpd.metrics import evaluation_count_bound
-from gocpd.models import IidGaussianModel, ModelParams
+from gocpd.models import GaussianProcessModel, IidGaussianModel, Kernel, ModelParams
 from gocpd.search import SplitScorer, effective_interval, ternary_argmax
 from gocpd.window import TimeSeriesWindow
 
@@ -139,9 +139,35 @@ def test_scorer_memoizes_and_counts_unique_evaluations():
     a = scorer.score(50)
     b = scorer.score(50)
     assert a == b
-    assert scorer.eval_count == 1
+    assert len(scorer.cache) == 1
     scorer.score(30)
-    assert scorer.eval_count == 2
+    assert len(scorer.cache) == 2
+
+
+def test_cached_split_params_unchanged_after_learned_gp_search():
+    # Evaluations warm-start from cached parameters by reference, so no fit
+    # may write to them once they are cached.
+    def learned():
+        return GaussianProcessModel(
+            ModelParams(mean=[0.0], noise_std=0.2, lengthscale=2.0, output_scale=0.5,
+                        kernel=Kernel.RBF), max_fit_iters=3)
+
+    w = step_window(n_left=20, n_right=20, noise=0.2, seed=3)
+    scorer = SplitScorer(w, learned(), learned())
+    inserted = {}
+
+    def score(tau):
+        record = scorer.evaluate(tau)
+        inserted.setdefault(tau, (record.left_params.copy(), record.right_params.copy()))
+        return record.score
+
+    dom = effective_interval(w.end_index, w.start_index, 0, 3)
+    ternary_argmax(score, dom.start, dom.stop - 1, dom.start, tol=2)
+    assert len(inserted) == len(scorer.cache) >= 4
+    for tau, record in scorer.cache.items():
+        left, right = inserted[tau]
+        assert record.left_params.equals(left)
+        assert record.right_params.equals(right)
 
 
 # -- ternary_argmax over real windows ------------------------------------------
@@ -151,7 +177,7 @@ def test_step_data_candidate_near_true_change():
     candidate, scorer = search(w, prev=1, tol=2)
     assert 49 <= candidate <= 51
     dom = effective_interval(100, 0, 1, 3)
-    assert scorer.eval_count <= evaluation_count_bound(len(dom))
+    assert len(scorer.cache) <= evaluation_count_bound(len(dom))
 
 
 def test_search_equals_exhaustive_scan_when_scan_unimodal():
