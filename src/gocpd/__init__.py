@@ -15,14 +15,12 @@ from .errors import (ConfigError, EmptyDomain, EmptyLog, GocpdError,
 from .metrics import MatchReport, aggregate_instrumentation, match_detections, rates
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel, PosteriorSummary)
-from .search import (CandidateState, SplitScore, SplitScorer,
-                     effective_interval, ternary_argmax)
+from .search import SplitScore, SplitScorer, effective_interval, ternary_argmax
 from .window import TimeSeriesWindow
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateState",
     "ConfigError",
     "DetectionEvent",
     "Detector",

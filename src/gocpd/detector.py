@@ -9,10 +9,14 @@ distance of the data before and after the candidate, measured against the
 single model, must exceed thresholds ``nu1`` and ``nu2`` while the
 candidate stays put. The persistence counter ``k`` rises by one on a
 searched iteration where the criterion holds and the candidate stays
-within ``search_tol`` of both the previous candidate and the anchor (where
-it first held), and is otherwise reset to 0 with the anchor dropped. Once
-``k`` exceeds ``k_max`` the change is declared, the pre-change data
-dropped, and every model reset to its priors.
+within ``search_tol`` of both the previous candidate and the ``anchor``
+(where it first held), and is otherwise reset to 0 with the anchor dropped.
+Once ``k`` exceeds ``k_max`` the change is declared, the pre-change data
+dropped, and every model reset to its priors. ``candidate``,
+``candidate_score``, ``k`` and ``anchor`` are plain ``Detector`` fields.
+
+Every ``step`` appends one iteration record with the same keys, written
+before any detection reset, so a detection's record shows its candidate.
 
 The two-segment test is what gives robustness to outliers: an isolated
 spike only raises the distance of the segment containing it, so the
@@ -31,10 +35,14 @@ import numpy as np
 from .errors import ConfigError, NonContiguousBatch, NonPositiveDefinite, TooFewPoints
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel, UniformGramFactor)
-from .search import CandidateState, SplitScorer, effective_interval, ternary_argmax
+from .search import SplitScorer, effective_interval, ternary_argmax
 from .window import TimeSeriesWindow, require_finite
 
 logger = logging.getLogger("gocpd.detector")
+
+# The search fields of an iteration record for a step that ran no search.
+_NOT_SEARCHED = {"searched": False, "domain_size": 0, "evals": 0, "criterion": None,
+                 "stable": None, "distance_left": None, "distance_right": None}
 
 
 @dataclass
@@ -59,6 +67,10 @@ class ModelSpec:
             raise ConfigError(f"model.family must be 'iid' or 'gp', got {self.family!r}")
         if self.kernel not in ("rbf", "dirac"):
             raise ConfigError(f"model.kernel must be 'rbf' or 'dirac', got {self.kernel!r}")
+        if self.channels < 1:
+            raise ConfigError(f"model.channels must be >= 1, got {self.channels}")
+        if self.max_fit_iters < 0:
+            raise ConfigError(f"model.max_fit_iters must be >= 0, got {self.max_fit_iters}")
         if len(self.mean) != self.channels:
             if len(self.mean) == 1:
                 self.mean = list(self.mean) * self.channels
@@ -196,138 +208,102 @@ class Detector:
         self.m2 = config.model.build(shared)
         self.window: TimeSeriesWindow | None = None
         self.last_change: int = 0
-        self.candidate: CandidateState | None = None
+        self.candidate: int | None = None
+        self.candidate_score: float | None = None
+        self.k: int = 0
         self.anchor: int | None = None
         self.wait_remaining: int = 0
         self.events: list[DetectionEvent] = []
         self.instrumentation: list[dict] = []
 
-    # -- stream plumbing -----------------------------------------------------
-
-    def _absorb(self, batch: TimeSeriesWindow) -> None:
-        require_finite(batch)
-        if self.window is None:
-            self.window = batch
-            self.last_change = batch.start_index
-        else:
-            if batch.start_index != self.window.end_index + 1:
-                raise NonContiguousBatch(
-                    f"batch starts at {batch.start_index}, expected "
-                    f"{self.window.end_index + 1}"
-                )
-            self.window = self.window.extend(batch)
-
-    def _record(self, t: int, **fields) -> None:
-        base = {
-            "kind": "iteration",
-            "t": t,
-            "interval": t - self.last_change,
-            "effective": (t - self.candidate.candidate) if self.candidate else None,
-            "candidate": self.candidate.candidate if self.candidate else None,
-            "score": self.candidate.candidate_score if self.candidate else None,
-            "k": self.candidate.persistence if self.candidate else 0,
-            "searched": False,
-            "domain_size": 0,
-            "evals": 0,
-            "criterion": None,
-            "stable": None,
-            "distance_left": None,
-            "distance_right": None,
-            "elapsed_s": None,
-            "error": None,
-        }
-        base.update(fields)
-        self.instrumentation.append(base)
-
-    # -- one step of the online loop ------------------------------------------
-
     def step(self, batch: TimeSeriesWindow) -> DetectionEvent | None:
         """Advance the detector by one contiguous batch.
 
         Returns the DetectionEvent if this batch's iteration declared a
-        change, else None. Numerical failures inside the search or the
-        criterion degrade to a logged no-op; the stream stays alive. A
-        batch holding NaN or inf raises NonFiniteObservation and leaves the
-        detector as it was.
+        change, else None. Every call appends exactly one iteration record.
+        Numerical failures inside the search or the criterion degrade to a
+        logged no-op; the stream stays alive. A batch holding NaN or inf
+        raises NonFiniteObservation and leaves the detector as it was.
         """
         started = time.perf_counter()
-        self._absorb(batch)
+        require_finite(batch)
+        if self.window is None:
+            self.window = batch
+            self.last_change = batch.start_index
+        elif batch.start_index != self.window.end_index + 1:
+            raise NonContiguousBatch(
+                f"batch starts at {batch.start_index}, expected "
+                f"{self.window.end_index + 1}"
+            )
+        else:
+            self.window = self.window.extend(batch)
         t = self.window.end_index
 
+        search, event, error = _NOT_SEARCHED, None, None
         if self.wait_remaining > 0:
             self.wait_remaining = max(0, self.wait_remaining - len(batch))
-            self._record(t, elapsed_s=time.perf_counter() - started)
-            return None
-        if t - self.last_change < self.config.t_ini:
-            self._record(t, elapsed_s=time.perf_counter() - started)
-            return None
-
-        try:
-            event = self._search_and_test(t)
-        except (NonPositiveDefinite, TooFewPoints) as exc:
-            logger.warning("degraded step at t=%d: %s", t, exc)
-            self._record(t, error=str(exc), elapsed_s=time.perf_counter() - started)
-            return None
-        self.instrumentation[-1]["elapsed_s"] = time.perf_counter() - started
+        elif t - self.last_change >= self.config.t_ini:
+            try:
+                search, event = self._search_and_test(t)
+            except (NonPositiveDefinite, TooFewPoints) as exc:
+                logger.warning("degraded step at t=%d: %s", t, exc)
+                error = str(exc)
+        self.instrumentation.append({
+            "kind": "iteration",
+            "t": t,
+            "interval": t - self.last_change,
+            "effective": None if self.candidate is None else t - self.candidate,
+            "candidate": self.candidate,
+            "score": self.candidate_score,
+            "k": self.k,
+            **search,
+            "elapsed_s": time.perf_counter() - started,
+            "error": error,
+        })
+        if event is not None:
+            self.events.append(event)
+            self._reset_after_detection(event.change_point, t)
         return event
 
-    def _search_and_test(self, t: int) -> DetectionEvent | None:
+    def _search_and_test(self, t: int) -> tuple[dict, DetectionEvent | None]:
+        """Search, test and update ``k``; return the record's search fields
+        and the event, if any. Whatever can raise runs before state changes."""
         cfg = self.config
-        data = self.window
-        self.m0.fit(data)
-
-        prev_candidate = self.candidate.candidate if self.candidate else self.last_change
-        prev_k = self.candidate.persistence if self.candidate else 0
-        min_fit = max(self.m1.min_fit_points, self.m2.min_fit_points)
-        domain = effective_interval(t, self.last_change, prev_candidate, min_fit)
-
+        self.m0.fit(self.window)
+        prev = self.last_change if self.candidate is None else self.candidate
+        domain = effective_interval(t, self.last_change, prev, cfg.model.min_fit_points)
         if len(domain) == 0:
-            self._record(t, searched=False)
-            return None
+            return _NOT_SEARCHED, None
 
-        scorer = SplitScorer(data, self.m1, self.m2)
-        tau = ternary_argmax(scorer.score, domain[0], domain[-1],
-                             prev_candidate, cfg.search_tol)
-        state = CandidateState(candidate=tau, candidate_score=scorer.score(tau))
-
+        scorer = SplitScorer(self.window, self.m1, self.m2)
+        tau = ternary_argmax(scorer.score, domain[0], domain[-1], prev, cfg.search_tol)
         satisfied, d_left, d_right = self.criterion(tau)
-        stable = self.candidate is not None and abs(tau - prev_candidate) <= cfg.search_tol
-        if stable and self.anchor is not None:
-            stable = abs(tau - self.anchor) <= cfg.search_tol
-
+        stable = (self.candidate is not None and abs(tau - prev) <= cfg.search_tol
+                  and (self.anchor is None or abs(tau - self.anchor) <= cfg.search_tol))
         if satisfied and stable:
-            state.persistence = prev_k + 1
+            self.k += 1
             if self.anchor is None:
                 self.anchor = tau
         else:
+            self.k = 0
             self.anchor = None
+        self.candidate, self.candidate_score = tau, scorer.score(tau)
 
-        self.candidate = state
-        self._record(
-            t, searched=True, domain_size=len(domain), evals=len(scorer.cache),
-            criterion=satisfied, stable=stable, distance_left=d_left,
-            distance_right=d_right,
-        )
-
-        if state.persistence > cfg.k_max:
-            event = DetectionEvent(
-                change_point=state.candidate,
-                declared_at=t,
-                candidate_score=state.candidate_score,
-                distance_left=d_left,
-                distance_right=d_right,
-            )
-            self.events.append(event)
-            self._reset_after_detection(state.candidate, t)
-            return event
-        return None
+        search = {"searched": True, "domain_size": len(domain), "evals": len(scorer.cache),
+                  "criterion": satisfied, "stable": stable,
+                  "distance_left": d_left, "distance_right": d_right}
+        if self.k > cfg.k_max:
+            return search, DetectionEvent(tau, t, self.candidate_score, d_left, d_right)
+        return search, None
 
     def criterion(self, candidate: int) -> tuple[bool, float, float]:
         """Two-segment acceptance test against the single-model fit.
 
         Distances are the modified Mahalanobis of each segment under the
         current single-model parameters; segments are treated
-        independently (no cross-segment covariance).
+        independently (no cross-segment covariance). The split is
+        ``[last_change, candidate] | [candidate + 1, t]``, one point right of
+        the search's ``[start, tau - 1] | [tau, t]`` and of the reset's.
         """
         t = self.window.end_index
         left = self.window.slice(self.last_change, candidate)
@@ -344,6 +320,8 @@ class Detector:
         self.m1.reset()
         self.m2.reset()
         self.candidate = None
+        self.candidate_score = None
+        self.k = 0
         self.anchor = None
         self.wait_remaining = self.config.wait
 

@@ -2,7 +2,7 @@
 
 This module holds the pieces; ``Detector._search_and_test`` is the one
 place that composes them (``effective_interval``, then a ``SplitScorer``,
-then ``ternary_argmax``).
+then ``ternary_argmax``), and ``Detector`` keeps the saved candidate.
 
 The split metric for a window spanning ``[start, t]`` and a split point
 ``tau`` is the sum of the averaged log-likelihoods of two models fitted on
@@ -31,19 +31,9 @@ DEFAULT_TOL = 2
 class SplitScore:
     """Metric value at one split point, with the two fitted parameter sets."""
 
-    tau: int
     score: float
     left_params: ModelParams
     right_params: ModelParams
-
-
-@dataclass
-class CandidateState:
-    """Saved candidate change point carried across iterations."""
-
-    candidate: int
-    candidate_score: float
-    persistence: int = 0
 
 
 def effective_interval(t: int, last_change: int, prev_candidate: int,
@@ -102,7 +92,6 @@ class SplitScorer:
         value = (self.left_model.avg_log_likelihood(left)
                  + self.right_model.avg_log_likelihood(right))
         record = SplitScore(
-            tau=tau,
             score=float(value),
             left_params=self.left_model.params,
             right_params=self.right_model.params,

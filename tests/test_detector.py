@@ -55,6 +55,11 @@ def test_config_validation():
         DetectorConfig(t_ini=4, model=ModelSpec(min_fit_points=3))
     with pytest.raises(ConfigError):
         DetectorConfig(batch_size=0)
+    for name, value in (("channels", 0), ("channels", -2), ("max_fit_iters", -3)):
+        doc = DetectorConfig().to_dict()
+        doc["model"][name] = value
+        with pytest.raises(ConfigError, match=f"model.{name}"):
+            DetectorConfig.from_dict(doc)
 
 
 def test_config_from_dict_requires_fields():
@@ -197,10 +202,50 @@ def test_models_reset_to_priors_after_detection():
         if event:
             assert det.m0.params.equals(det.m0.prior_params)
             assert det.m1.params.equals(det.m1.prior_params)
+            assert det.m2.params.equals(det.m2.prior_params)
+            assert det.candidate is None and det.k == 0 and det.anchor is None
             assert det.wait_remaining == config.wait
             break
     else:
         pytest.fail("no detection on the step stream")
+
+
+def test_every_step_appends_one_record_with_the_same_keys():
+    # Warm-up, searched, degraded, detection and quiet-period steps on the
+    # step stream; the step at t=40 is degraded by a failing m0 fit.
+    from gocpd.errors import NonPositiveDefinite
+
+    def boom(*args, **kwargs):
+        raise NonPositiveDefinite("forced failure")
+
+    config = step_config()
+    det = Detector(config)
+    fit = det.m0.fit
+    for batch in stream_batches(step_example(), 1):
+        det.m0.fit = boom if batch.start_index == 40 else fit
+        count = len(det.instrumentation)
+        det.step(batch)
+        assert len(det.instrumentation) == count + 1
+    records = det.instrumentation
+    assert len(det.events) == 1
+    event = det.events[0]
+    assert {frozenset(r) for r in records} == {frozenset((
+        "kind", "t", "interval", "effective", "candidate", "score", "k", "searched",
+        "domain_size", "evals", "criterion", "stable", "distance_left",
+        "distance_right", "elapsed_s", "error"))}
+    assert all(isinstance(r["elapsed_s"], float) for r in records)
+
+    by_t = {r["t"]: r for r in records}
+    assert not by_t[config.t_ini - 1]["searched"]  # warm-up
+    assert by_t[40]["error"] is not None and not by_t[40]["searched"]
+    assert by_t[39]["searched"] and by_t[41]["searched"]
+    declared = by_t[event.declared_at]
+    assert declared["searched"]
+    assert declared["candidate"] == event.change_point
+    assert declared["k"] == config.k_max + 1
+    quiet = by_t[event.declared_at + 1]
+    assert not quiet["searched"] and quiet["error"] is None
+    assert quiet["candidate"] is None and quiet["k"] == 0
 
 
 # -- robustness -------------------------------------------------------------------
