@@ -15,7 +15,7 @@ from .errors import (ConfigError, EmptyDomain, EmptyLog, GocpdError,
 from .metrics import MatchReport, aggregate_instrumentation, match_detections, rates
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel, PosteriorSummary)
-from .search import SplitScore, SplitScorer, effective_interval, ternary_argmax
+from .search import SplitScorer, effective_interval, ternary_argmax
 from .window import TimeSeriesWindow
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "ObservationModel",
     "PosteriorSummary",
     "RegimeScript",
-    "SplitScore",
     "SplitScorer",
     "TimeSeriesWindow",
     "TooFewPoints",

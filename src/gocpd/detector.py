@@ -275,7 +275,7 @@ class Detector:
         if len(domain) == 0:
             return _NOT_SEARCHED, None
 
-        scorer = SplitScorer(self.window, self.m1, self.m2)
+        scorer = SplitScorer(self.window, self.m1, self.m2, self.m0.prefix)
         tau = ternary_argmax(scorer.score, domain[0], domain[-1], prev, cfg.search_tol)
         satisfied, d_left, d_right = self.criterion(tau)
         stable = (self.candidate is not None and abs(tau - prev) <= cfg.search_tol
@@ -304,12 +304,18 @@ class Detector:
         independently (no cross-segment covariance). The split is
         ``[last_change, candidate] | [candidate + 1, t]``, one point right of
         the search's ``[start, tau - 1] | [tau, t]`` and of the reset's.
+        The left distance is read from ``m0``'s prefix sums when they were
+        built from this window and it starts at ``last_change``.
         """
         t = self.window.end_index
-        left = self.window.slice(self.last_change, candidate)
-        right = self.window.slice(candidate + 1, t)
-        d_left = self.m0.modified_mahalanobis(left)
-        d_right = self.m0.modified_mahalanobis(right)
+        sums = self.m0.prefix
+        if (sums is not None and sums.window is self.window
+                and self.window.start_index == self.last_change):
+            d_left = sums.modified_mahalanobis(candidate - self.last_change + 1,
+                                               self.m0.params.mean)
+        else:
+            d_left = self.m0.modified_mahalanobis(self.window.slice(self.last_change, candidate))
+        d_right = self.m0.modified_mahalanobis(self.window.slice(candidate + 1, t))
         ok = d_left > self.config.nu1 and d_right > self.config.nu2
         return ok, d_left, d_right
 

@@ -80,8 +80,9 @@ def aggregate_instrumentation(records: list[dict]) -> dict:
     Uses the iterations that actually ran a search. Reports mean and
     standard deviation of the raw interval since the last change, the
     effective interval behind the saved candidate, and the number of
-    metric evaluations, plus total wall time over all records divided by
-    the number of stream points.
+    metric evaluations, plus the total wall time over all records. The
+    records do not give the stream's length, so no per-point time is
+    derived here; ``gocpd bench`` divides by the series length.
     """
     searched = [r for r in records if r.get("searched")]
     if not searched:
@@ -92,7 +93,6 @@ def aggregate_instrumentation(records: list[dict]) -> dict:
         return {"mean": float(values.mean()), "std": float(values.std())}
 
     elapsed = sum(r["elapsed_s"] or 0.0 for r in records)
-    points = max(r["t"] for r in records) - min(r["t"] for r in records) + 1
     return {
         "iterations": len(searched),
         "interval": stats("interval"),
@@ -100,7 +100,6 @@ def aggregate_instrumentation(records: list[dict]) -> dict:
         "evaluations": stats("evals"),
         "domain": stats("domain_size"),
         "total_elapsed_s": float(elapsed),
-        "seconds_per_point": float(elapsed / points),
     }
 
 

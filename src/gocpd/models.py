@@ -39,6 +39,15 @@ marginal Mahalanobis distance then slice the shared factor instead of
 factoring afresh. Learned hyperparameters, non-uniform inputs, and a grid
 factor whose growth fails without jitter all take the dense
 ``chol_with_jitter`` path, which stays the reference.
+
+On that path ``fit`` also whitens its window once and keeps ``PrefixSums``.
+As ``L^{-1}`` is lower triangular, the first ``m`` entries of ``L^{-1} v``
+use only the first ``m`` entries of ``v`` and the leading block of ``L``,
+which is the factor of the first ``m`` points. So each prefix of the window
+(a split's left segment, the criterion's left segment, the window itself)
+is scored exactly from prefix sums of the window's innovations. A suffix is
+not: its factor is the grid's leading block, not a trailing block of the
+window's, so each right segment is whitened on its own.
 """
 
 from __future__ import annotations
@@ -111,15 +120,6 @@ class ModelParams:
             lengthscale=self.lengthscale,
             output_scale=self.output_scale,
             kernel=self.kernel,
-        )
-
-    def equals(self, other: "ModelParams") -> bool:
-        return (
-            self.kernel == other.kernel
-            and self.noise_std == other.noise_std
-            and self.lengthscale == other.lengthscale
-            and self.output_scale == other.output_scale
-            and np.array_equal(self.mean, other.mean)
         )
 
 
@@ -227,6 +227,59 @@ def _mvn_logpdf_chol(residual: np.ndarray, chol_lower: np.ndarray) -> float:
     return -0.5 * (z @ z + logdet + len(residual) * LOG_2PI)
 
 
+def _length_corrected(d: float, n: int) -> float:
+    """The modified Mahalanobis distance ``d^(2 / n)``; 0 stays 0."""
+    return 0.0 if d == 0.0 else float(d ** (2.0 / n))
+
+
+@dataclass
+class PrefixSums:
+    """Prefix sums of one window's innovations under fixed hyperparameters.
+
+    With ``L`` the factor of the window's noisy Gram, ``z_1 = L^{-1} 1`` and
+    ``z_y = L^{-1} (y - ref)``, row ``m`` sums the first ``m`` points:
+    ``s11`` of ``z_1^2``, ``logdet`` of ``2 log L_kk`` and, per channel,
+    ``s1y`` of ``z_1 z_y`` and ``syy`` of ``z_y^2``. Shifting by the first
+    output row ``ref`` bounds the ``syy - s1y^2 / s11`` cancellation by the
+    spread of the outputs, not by their level.
+    """
+
+    window: TimeSeriesWindow
+    ref: np.ndarray
+    s11: np.ndarray
+    logdet: np.ndarray
+    s1y: np.ndarray
+    syy: np.ndarray
+
+    @classmethod
+    def whiten(cls, window: TimeSeriesWindow, chol_lower: np.ndarray) -> "PrefixSums":
+        """One triangular solve of ``[1, y - ref]`` against the window's factor."""
+        y = window.outputs
+        z = solve_triangular(chol_lower, np.column_stack([np.ones(len(y)), y - y[0]]),
+                             lower=True, check_finite=False)
+        terms = np.hstack([z[:, :1]**2, 2.0 * np.log(np.diag(chol_lower))[:, None],
+                           z[:, :1] * z[:, 1:], z[:, 1:]**2])
+        sums = np.vstack([np.zeros(terms.shape[1]), np.cumsum(terms, axis=0)])
+        c = y.shape[1]
+        return cls(window, y[0], sums[:, 0], sums[:, 1], sums[:, 2:2 + c], sums[:, 2 + c:])
+
+    def mean(self, m: int) -> np.ndarray:
+        """Maximum-likelihood per-channel means of the first ``m`` points."""
+        return self.ref + self.s1y[m] / self.s11[m]
+
+    def _quad(self, m: int, mean: np.ndarray) -> float:
+        shift = mean - self.ref
+        return float(np.sum(self.syy[m] - 2.0 * shift * self.s1y[m] + shift**2 * self.s11[m]))
+
+    def log_likelihood(self, m: int, mean: np.ndarray) -> float:
+        """Log-likelihood of the first ``m`` points under the means ``mean``."""
+        return -0.5 * (self._quad(m, mean) + len(self.ref) * (self.logdet[m] + m * LOG_2PI))
+
+    def modified_mahalanobis(self, m: int, mean: np.ndarray) -> float:
+        """Modified Mahalanobis distance of the first ``m`` points from ``mean``."""
+        return _length_corrected(math.sqrt(max(self._quad(m, mean), 0.0)), m)
+
+
 class ObservationModel:
     """Base class: parameter bookkeeping plus the shared distance metrics.
 
@@ -234,6 +287,8 @@ class ObservationModel:
     and ``mahalanobis``. Instances are single-writer: do not fit and predict
     concurrently on the same object.
     """
+
+    prefix: PrefixSums | None = None  # of the last fitted window, where kept
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 3):
         self.prior_params = prior_params.copy()
@@ -294,10 +349,7 @@ class ObservationModel:
     def modified_mahalanobis(self, window: TimeSeriesWindow,
                              train: TimeSeriesWindow | None = None) -> float:
         """Length-corrected distance ``d^(2 / n)``; 0 stays 0."""
-        d = self.mahalanobis(window, train=train)
-        if d == 0.0:
-            return 0.0
-        return float(d ** (2.0 / len(window)))
+        return _length_corrected(self.mahalanobis(window, train=train), len(window))
 
 
 def _flatten_channel_major(outputs: np.ndarray) -> np.ndarray:
@@ -373,7 +425,8 @@ class GaussianProcessModel(ObservationModel):
 
     ``gram_factor``, when given, is a ``UniformGramFactor`` shared with the
     detector's other models; it is kept only when no hyperparameter is
-    fitted.
+    fitted. A fit that uses it keeps ``prefix``, from which
+    ``log_likelihood`` of that same window object is read.
     """
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 3,
@@ -411,18 +464,23 @@ class GaussianProcessModel(ObservationModel):
         k = self._gram(x, params=p)
         return k + p.noise_std**2 * np.eye(len(x))
 
+    def _shared_chol(self, x: np.ndarray, params: ModelParams) -> np.ndarray | None:
+        """The shared grid factor's block for ``x``, or None where it does not apply."""
+        if self.gram_factor is None:
+            return None
+        return self.gram_factor.leading(x, params, self._gram)
+
     def _chol(self, x: np.ndarray, params: ModelParams) -> np.ndarray:
         """Lower Cholesky factor of the noisy Gram on ``x``."""
-        if self.gram_factor is not None:
-            lower = self.gram_factor.leading(x, params, self._gram)
-            if lower is not None:
-                return lower
-        return chol_with_jitter(self._noisy_gram(x, params))
+        lower = self._shared_chol(x, params)
+        return chol_with_jitter(self._noisy_gram(x, params)) if lower is None else lower
 
     # -- likelihood ----------------------------------------------------------
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
         self._check_window(window)
+        if self.prefix is not None and self.prefix.window is window:
+            return self.prefix.log_likelihood(len(window), self.params.mean)
         return self._log_likelihood_chol(window, self.params,
                                          self._chol(window.inputs, self.params))
 
@@ -489,7 +547,12 @@ class GaussianProcessModel(ObservationModel):
 
         if not self.fitted:
             # Fixed kernel and noise: the means are the whole fit.
-            self._fit_mean(window, params)
+            lower = self._shared_chol(window.inputs, params)
+            self.prefix = None if lower is None else PrefixSums.whiten(window, lower)
+            if self.prefix is None:
+                self._fit_mean(window, params)
+            else:
+                params.mean = self.prefix.mean(len(window))
             self.params = params
             return self
         sq = self._sqdist(window.inputs, window.inputs)

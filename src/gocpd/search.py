@@ -17,23 +17,13 @@ recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import EmptyDomain
-from .models import ModelParams, ObservationModel
+from .errors import EmptyDomain, TooFewPoints
+from .models import ModelParams, ObservationModel, PrefixSums
 from .window import TimeSeriesWindow
 
 DEFAULT_TOL = 2
-
-
-@dataclass
-class SplitScore:
-    """Metric value at one split point, with the two fitted parameter sets."""
-
-    score: float
-    left_params: ModelParams
-    right_params: ModelParams
 
 
 def effective_interval(t: int, last_change: int, prev_candidate: int,
@@ -56,48 +46,58 @@ class SplitScorer:
     """Memoized evaluator of the split metric over one window.
 
     Scores depend on the window's right edge, so a scorer is valid for a
-    single iteration; build a fresh one when the stream advances. Each
-    evaluation fits the left/right models, warm-starting from the nearest
-    previously evaluated split of this iteration (or, for the first
-    evaluation, from the models' current parameters). Fits never write to
-    the parameters they start from, so cached parameters are handed back
-    by reference. ``len(cache)`` counts the evaluations made.
+    single iteration; build a fresh one when the stream advances.
+    ``cache`` maps each evaluated split to its score, so ``len(cache)``
+    counts the evaluations made.
+
+    ``prefix``, when given, holds the ``PrefixSums`` of ``window`` under
+    the models' fixed hyperparameters: each left segment is then scored
+    from it, with no slice and no fit, and the right model scores its
+    segment from its own fit. Otherwise each evaluation fits both models,
+    warm-starting from the nearest previously evaluated split of this
+    iteration (or, for the first evaluation, from the models' current
+    parameters); ``fits`` keeps those parameters. Fits never write to the
+    parameters they start from, so they are handed back by reference.
     """
 
     def __init__(self, window: TimeSeriesWindow, left_model: ObservationModel,
-                 right_model: ObservationModel):
+                 right_model: ObservationModel, prefix: PrefixSums | None = None):
         self.window = window
         self.left_model = left_model
         self.right_model = right_model
-        self.cache: dict[int, SplitScore] = {}
+        self.prefix = prefix
+        self.cache: dict[int, float] = {}
+        self.fits: dict[int, tuple[ModelParams, ModelParams]] = {}
 
     def score(self, tau: int) -> float:
-        return self.evaluate(tau).score
+        return self.evaluate(tau)
 
-    def evaluate(self, tau: int) -> SplitScore:
+    def evaluate(self, tau: int) -> float:
         hit = self.cache.get(tau)
         if hit is not None:
             return hit
         win = self.window
         if not (win.start_index < tau <= win.end_index):
             raise ValueError(f"split {tau} outside window ({win.start_index}, {win.end_index}]")
-        if self.cache:
-            nearest = min(self.cache, key=lambda seen: abs(seen - tau))
-            self.left_model.params = self.cache[nearest].left_params
-            self.right_model.params = self.cache[nearest].right_params
-        left = win.slice(win.start_index, tau - 1)
         right = win.slice(tau, win.end_index)
-        self.left_model.fit(left)
+        if self.prefix is None:
+            if self.fits:
+                nearest = min(self.fits, key=lambda seen: abs(seen - tau))
+                self.left_model.params, self.right_model.params = self.fits[nearest]
+            left = win.slice(win.start_index, tau - 1)
+            self.left_model.fit(left)
+            left_value = self.left_model.avg_log_likelihood(left)
+        else:
+            m = tau - win.start_index
+            if m < self.left_model.min_fit_points:
+                raise TooFewPoints(f"left segment of {m} points is below the fitting minimum")
+            left_value = self.prefix.log_likelihood(m, self.prefix.mean(m)) / m
         self.right_model.fit(right)
-        value = (self.left_model.avg_log_likelihood(left)
-                 + self.right_model.avg_log_likelihood(right))
-        record = SplitScore(
-            score=float(value),
-            left_params=self.left_model.params,
-            right_params=self.right_model.params,
-        )
-        self.cache[tau] = record
-        return record
+        value = float(left_value + self.right_model.avg_log_likelihood(right))
+        if self.prefix is None:
+            self.fits[tau] = (self.left_model.params, self.right_model.params)
+        self.cache[tau] = value
+        return value
 
 
 def ternary_argmax(score: Callable[[int], float], lo: int, hi: int,

@@ -12,6 +12,13 @@ def fixed_iid(noise=0.001, min_fit=3, mean=0.0):
     return IidGaussianModel(params, min_fit_points=min_fit, fix_noise=True)
 
 
+def params_equal(a, b):
+    """Exact equality of two ModelParams, means included."""
+    return (a.kernel == b.kernel and a.noise_std == b.noise_std
+            and a.lengthscale == b.lengthscale and a.output_scale == b.output_scale
+            and np.array_equal(a.mean, b.mean))
+
+
 def mean_shift_window(n, change, delta, noise=0.1, seed=0, start=0):
     rng = np.random.default_rng(seed)
     y = np.concatenate([

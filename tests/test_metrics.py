@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gocpd.datagen import step_example
+from gocpd.detector import DetectorConfig, run_stream
 from gocpd.errors import EmptyLog
 from gocpd.metrics import (MatchReport, aggregate_instrumentation,
                            evaluation_count_bound, match_detections, rates,
@@ -118,6 +120,18 @@ def test_aggregate_empty_log_raises():
         aggregate_instrumentation([])
     with pytest.raises(EmptyLog):
         aggregate_instrumentation([record(1, 0, 0, 0, 0, searched=False)])
+
+
+def test_aggregate_derives_no_per_point_time_from_batch_ends():
+    # At batch_size 10 the 101-point step example has records at
+    # t = 9, 19, ..., 99, 100: their span is 92 timestamps, not 101 points.
+    config = DetectorConfig(batch_size=10, t_ini=10, wait=10)
+    _, records = run_stream(step_example(), config)
+    assert [r["t"] for r in records][:2] == [9, 19] and records[-1]["t"] == 100
+    summary = aggregate_instrumentation(records)
+    assert set(summary) == {"iterations", "interval", "effective", "evaluations",
+                            "domain", "total_elapsed_s"}
+    assert summary["total_elapsed_s"] == pytest.approx(sum(r["elapsed_s"] for r in records))
 
 
 def test_aggregate_eval_bound_relationship():

@@ -5,10 +5,14 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
+from conftest import params_equal
+
 import gocpd.models as models
+from gocpd.detector import Detector, DetectorConfig, ModelSpec
 from gocpd.errors import NonPositiveDefinite, TooFewPoints
 from gocpd.models import (GaussianProcessModel, IidGaussianModel, Kernel,
                           ModelParams, UniformGramFactor, chol_with_jitter)
+from gocpd.search import SplitScorer
 from gocpd.window import TimeSeriesWindow
 
 LOG_2PI = math.log(2 * math.pi)
@@ -187,9 +191,9 @@ def test_reset_restores_priors_bit_exact():
     m = gp(mean=0.25, noise=0.17)
     prior = m.prior_params.copy()
     m.fit(window(rng.normal(size=25)))
-    assert not m.params.equals(prior)
+    assert not params_equal(m.params, prior)
     m.reset()
-    assert m.params.equals(prior)
+    assert params_equal(m.params, prior)
     assert m.params.mean is not m.prior_params.mean  # independent storage
 
 
@@ -203,9 +207,9 @@ def test_fit_never_writes_to_its_starting_params(make):
     start = m.params
     snapshot = start.copy()
     m.fit(window(np.random.default_rng(6).normal(1.0, 0.4, size=25)))
-    assert start.equals(snapshot)
+    assert params_equal(start, snapshot)
     assert m.params is not start
-    assert not m.params.equals(snapshot)  # the fit did move the parameters
+    assert not params_equal(m.params, snapshot)  # the fit did move the parameters
 
 
 def test_learned_fit_factors_the_gram_once_per_objective(monkeypatch):
@@ -450,15 +454,15 @@ def test_grid_factor_unused_on_nonuniform_inputs_or_learned_hyperparameters():
     x = np.sort(rng.uniform(0, 40, size=40))
     nonuniform = TimeSeriesWindow(x, rng.normal(size=(40, 3)))
     factor = UniformGramFactor()
-    assert_models_agree(fixed_gp(channels=3, gram_factor=factor), fixed_gp(channels=3),
-                        nonuniform, rel=0)
-    assert factor.size == 0
+    fast = fixed_gp(channels=3, gram_factor=factor)
+    assert_models_agree(fast, fixed_gp(channels=3), nonuniform, rel=0)
+    assert factor.size == 0 and fast.prefix is None
 
     uniform = grid_window(40, 1, seed=23)
     learned = dict(fix_kernel=False, fix_noise=False, max_fit_iters=5)
-    assert_models_agree(fixed_gp(gram_factor=factor, **learned), fixed_gp(**learned),
-                        uniform, rel=0)
-    assert factor.size == 0
+    fast = fixed_gp(gram_factor=factor, **learned)
+    assert_models_agree(fast, fixed_gp(**learned), uniform, rel=0)
+    assert factor.size == 0 and fast.prefix is None
 
 
 def test_grid_factor_growth_failure_falls_back_to_jitter():
@@ -474,7 +478,94 @@ def test_grid_factor_growth_failure_falls_back_to_jitter():
     fast = fixed_gp(gram_factor=factor, **settings)
     assert_models_agree(fast, fixed_gp(**settings), segment, rel=0)
     assert factor.limit is not None and factor.size < len(segment)
+    assert fast.prefix is None  # the whitening path is not taken either
     # Beyond the failed size the factor is never grown again.
     limit = factor.limit
     assert_models_agree(fast, fixed_gp(**settings), grid_window(45, 1, seed=25), rel=0)
     assert factor.limit == limit
+
+
+# -- prefix sums (one whitening per window) vs slice + fit -------------------------
+
+def fixed_gp_detector(kernel, lengthscale, channels, shared):
+    det = Detector(DetectorConfig(model=ModelSpec(
+        family="gp", kernel=kernel.value, lengthscale=lengthscale, output_scale=0.9,
+        noise_std=0.3, channels=channels, fix_kernel=True, fix_output_scale=True,
+        fix_noise=True)))
+    if not shared:
+        for model in (det.m0, det.m1, det.m2):
+            model.gram_factor = None
+    return det
+
+
+PREFIX_KERNELS = [(Kernel.RBF, 0.3), (Kernel.RBF, 1.0), (Kernel.RBF, 3.0),
+                  (Kernel.DIRAC_DELTA, 1.0)]
+
+
+@pytest.mark.parametrize("kernel, lengthscale", PREFIX_KERNELS)
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("level", [0.0, 1e3])
+def test_prefix_sums_match_slice_and_fit(kernel, lengthscale, channels, level):
+    # The oracle slices each segment and fits and scores it with a dense
+    # factorization; the shared-factor detector whitens the window once.
+    close = dict(rel=1e-9, abs=0)
+    fast = fixed_gp_detector(kernel, lengthscale, channels, shared=True)
+    dense = fixed_gp_detector(kernel, lengthscale, channels, shared=False)
+    full = grid_window(100, channels, seed=30, dx=0.5, x0=3.0)
+    full = TimeSeriesWindow(full.inputs, full.outputs + level)
+    fast.m0.fit(full)  # the factor grows past the window below
+    # After a reset the window starts at the change point, a nonzero offset.
+    window = full.slice(37, 99)
+    start, end = window.start_index, window.end_index
+    for det in (fast, dense):
+        det.window, det.last_change = window, start
+        det.m0.fit(window)
+    sums = fast.m0.prefix
+    assert sums is not None and sums.window is window and dense.m0.prefix is None
+    assert fast.m0.params.mean == pytest.approx(dense.m0.params.mean, **close)
+
+    oracle = dense.m1
+    fast_scorer = SplitScorer(window, fast.m1, fast.m2, sums)
+    dense_scorer = SplitScorer(window, dense.m1, dense.m2)
+    for tau in range(start + 3, end - 1):
+        left = window.slice(start, tau - 1)
+        right = window.slice(tau, end)
+        m = len(left)
+        want_left = oracle.fit(left).avg_log_likelihood(left)
+        assert sums.log_likelihood(m, sums.mean(m)) / m == pytest.approx(want_left, **close)
+        assert sums.mean(m) == pytest.approx(oracle.params.mean, **close)
+        want_right = oracle.fit(right).avg_log_likelihood(right)
+        assert fast.m2.fit(right).avg_log_likelihood(right) == pytest.approx(want_right,
+                                                                             **close)
+        assert fast.m2.prefix.window is right
+        assert fast_scorer.score(tau) == pytest.approx(dense_scorer.score(tau), **close)
+    def criteria(det):  # rows of (satisfied, d_left, d_right) as floats
+        return np.array([det.criterion(tau) for tau in range(start, end)], dtype=float)
+
+    wants = criteria(dense)
+    assert criteria(fast) == pytest.approx(wants, **close)
+    # With sums of another window, the criterion slices, as it does when
+    # called on its own.
+    fitted = fast.m0.params
+    fast.m0.fit(full)
+    fast.m0.params = fitted
+    assert fast.m0.prefix.window is full
+    assert criteria(fast) == pytest.approx(wants, **close)
+
+
+@pytest.mark.parametrize("kernel, lengthscale", PREFIX_KERNELS)
+def test_prefix_sums_do_not_depend_on_the_output_level(kernel, lengthscale):
+    # Whitening y - y[0] rather than y keeps the scores of outputs raised by
+    # 1e3 within rounding of the same outputs at level 0 (about 4e-13 here);
+    # sums of the unshifted outputs drift by 4e-11 to 3e-10.
+    base = grid_window(100, 1, seed=30, dx=0.5, x0=3.0).slice(37, 99)
+    scores = []
+    for level in (0.0, 1e3):
+        window = TimeSeriesWindow(base.inputs, base.outputs + level, start_index=37)
+        det = fixed_gp_detector(kernel, lengthscale, 1, shared=True)
+        det.window, det.last_change = window, 37
+        det.m0.fit(window)
+        sums = det.m0.prefix
+        scores.append([sums.log_likelihood(m, sums.mean(m)) / m for m in range(3, len(window))]
+                      + [d for tau in range(37, 99) for d in det.criterion(tau)[1:]])
+    assert scores[1] == pytest.approx(scores[0], rel=1e-11, abs=0)

@@ -1,0 +1,35 @@
+"""Seed 0 of the gated perfbench workloads against the recorded references.
+
+The streams come from ``perfbench/workloads.py`` and are replayed through
+``run_stream``. The events must equal the recorded ones exactly, and the
+search fingerprint must match by ``perfbench/run.py``'s own comparison, so a
+change that moves a single candidate fails here as well as in perfbench.
+This file only reads ``perfbench/``.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from gocpd.detector import DetectorConfig, run_stream
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from replay import fingerprint  # noqa: E402
+from run import same_fingerprint  # noqa: E402
+from workloads import WORKLOADS, streams  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", ["iid_mean_changes", "gp_rbf_fixed"])
+def test_seed_zero_replays_to_the_recorded_reference(workload):
+    reference = json.loads((PERFBENCH / "references.json").read_text())[workload]["0"]
+    config = DetectorConfig.from_dict(WORKLOADS[workload]["config"])
+    replayed = [run_stream(window, config) for window, _ in streams(workload, 0)]
+    assert len(replayed) == len(reference["events"])
+    for i, (events, records) in enumerate(replayed):
+        assert [[e.change_point, e.declared_at] for e in events] == reference["events"][i]
+        got = fingerprint(records)
+        assert same_fingerprint(got, reference["fingerprints"][i]), (i, got)

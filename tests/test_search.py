@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import params_equal
+
 from gocpd.datagen import step_example
 from gocpd.errors import EmptyDomain, TooFewPoints
 from gocpd.metrics import evaluation_count_bound
@@ -110,7 +112,7 @@ def test_split_score_peaks_at_true_change():
     w = step_window()
     scores = {}
     for tau in (25, 50, 75):
-        scores[tau] = SplitScorer(w, fixed_iid(), fixed_iid()).evaluate(tau).score
+        scores[tau] = SplitScorer(w, fixed_iid(), fixed_iid()).evaluate(tau)
     assert scores[50] > scores[25]
     assert scores[50] > scores[75]
 
@@ -121,7 +123,7 @@ def test_split_score_on_constant_data_matches_single_model():
     m = fixed_iid(noise=0.1)
     m.fit(w)
     whole = m.avg_log_likelihood(w)
-    s = SplitScorer(w, fixed_iid(noise=0.1), fixed_iid(noise=0.1)).evaluate(20).score
+    s = SplitScorer(w, fixed_iid(noise=0.1), fixed_iid(noise=0.1)).evaluate(20)
     assert s == pytest.approx(2 * whole, rel=1e-9)
 
 
@@ -157,17 +159,17 @@ def test_cached_split_params_unchanged_after_learned_gp_search():
     inserted = {}
 
     def score(tau):
-        record = scorer.evaluate(tau)
-        inserted.setdefault(tau, (record.left_params.copy(), record.right_params.copy()))
-        return record.score
+        value = scorer.evaluate(tau)
+        inserted.setdefault(tau, tuple(p.copy() for p in scorer.fits[tau]))
+        return value
 
     dom = effective_interval(w.end_index, w.start_index, 0, 3)
     ternary_argmax(score, dom.start, dom.stop - 1, dom.start, tol=2)
-    assert len(inserted) == len(scorer.cache) >= 4
-    for tau, record in scorer.cache.items():
+    assert len(inserted) == len(scorer.fits) == len(scorer.cache) >= 4
+    for tau, (left_params, right_params) in scorer.fits.items():
         left, right = inserted[tau]
-        assert record.left_params.equals(left)
-        assert record.right_params.equals(right)
+        assert params_equal(left_params, left)
+        assert params_equal(right_params, right)
 
 
 # -- ternary_argmax over real windows ------------------------------------------
