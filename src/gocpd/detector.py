@@ -275,8 +275,8 @@ class Detector:
         if len(domain) == 0:
             return _NOT_SEARCHED, None
 
-        scorer = SplitScorer(self.window, self.m1, self.m2, self.m0.prefix)
-        tau = ternary_argmax(scorer.score, domain[0], domain[-1], prev, cfg.search_tol)
+        scorer = SplitScorer(self.window, self.m1, self.m2, self.m0.prefix, self.m0.suffix)
+        tau = ternary_argmax(scorer.evaluate, domain[0], domain[-1], prev, cfg.search_tol)
         satisfied, d_left, d_right = self.criterion(tau)
         stable = (self.candidate is not None and abs(tau - prev) <= cfg.search_tol
                   and (self.anchor is None or abs(tau - self.anchor) <= cfg.search_tol))
@@ -287,7 +287,7 @@ class Detector:
         else:
             self.k = 0
             self.anchor = None
-        self.candidate, self.candidate_score = tau, scorer.score(tau)
+        self.candidate, self.candidate_score = tau, scorer.cache[tau]
 
         search = {"searched": True, "domain_size": len(domain), "evals": len(scorer.cache),
                   "criterion": satisfied, "stable": stable,
@@ -304,18 +304,21 @@ class Detector:
         independently (no cross-segment covariance). The split is
         ``[last_change, candidate] | [candidate + 1, t]``, one point right of
         the search's ``[start, tau - 1] | [tau, t]`` and of the reset's.
-        The left distance is read from ``m0``'s prefix sums when they were
-        built from this window and it starts at ``last_change``.
+        Each distance is read from ``m0``'s forward or backward sums when
+        they were built from this window; the left one also needs the
+        window to start at ``last_change``.
         """
-        t = self.window.end_index
-        sums = self.m0.prefix
-        if (sums is not None and sums.window is self.window
+        t, mean = self.window.end_index, self.m0.params.mean
+        prefix, suffix = self.m0.prefix, self.m0.suffix
+        if (prefix is not None and prefix.window is self.window
                 and self.window.start_index == self.last_change):
-            d_left = sums.modified_mahalanobis(candidate - self.last_change + 1,
-                                               self.m0.params.mean)
+            d_left = prefix.modified_mahalanobis(candidate - self.last_change + 1, mean)
         else:
             d_left = self.m0.modified_mahalanobis(self.window.slice(self.last_change, candidate))
-        d_right = self.m0.modified_mahalanobis(self.window.slice(candidate + 1, t))
+        if suffix is not None and suffix.window is self.window:
+            d_right = suffix.modified_mahalanobis(t - candidate, mean)
+        else:
+            d_right = self.m0.modified_mahalanobis(self.window.slice(candidate + 1, t))
         ok = d_left > self.config.nu1 and d_right > self.config.nu2
         return ok, d_left, d_right
 

@@ -30,8 +30,8 @@ is the only way back to the priors.
 When every GP hyperparameter is fixed, the models of one detector share a
 ``UniformGramFactor``: a growing lower Cholesky factor of the noisy Gram on
 the grid ``0, dx, 2dx, ...``. A stationary kernel depends only on input
-differences, so on a segment whose inputs are exactly ``x[0] + k * dx`` the
-noisy Gram is the leading block of the grid's Gram, and the Cholesky factor
+differences, so on a segment whose inputs are ``x[0] + k * dx`` the noisy
+Gram is the leading block of the grid's Gram, and the Cholesky factor
 of a leading block is the leading block of the Cholesky factor: the
 recurrence for the first n rows reads only the first n rows and columns.
 This is exact, not an approximation. Fitting, the log-likelihood and the
@@ -46,8 +46,14 @@ use only the first ``m`` entries of ``v`` and the leading block of ``L``,
 which is the factor of the first ``m`` points. So each prefix of the window
 (a split's left segment, the criterion's left segment, the window itself)
 is scored exactly from prefix sums of the window's innovations. A suffix is
-not: its factor is the grid's leading block, not a trailing block of the
-window's, so each right segment is whitened on its own.
+scored the same way from the reversed window. The grid's noisy Gram ``K``
+is symmetric Toeplitz, hence persymmetric: ``J K J = K`` with ``J`` the
+reversal (Golub & Van Loan, section 4.7). So the last ``r`` points read
+backwards have the same Gram ``K_r`` and the same ``log det``, and their
+innovations are the first ``r`` innovations of the reversed window under
+the same leading factor. ``fit`` whitens ``[1, y - y[0], rev(y) - y[-1]]``
+in one solve and keeps the forward sums as ``prefix`` and the backward
+ones as ``suffix``.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .errors import NonPositiveDefinite, TooFewPoints
 from .window import TimeSeriesWindow
 
 LOG_2PI = math.log(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
 
 # Diagonal jitter ladder applied when a Gram matrix fails to factorize.
 JITTER_INITIAL = 1e-8
@@ -162,14 +169,18 @@ class UniformGramFactor:
 
     One instance serves every GP model of a detector whose hyperparameters
     are all fixed. It is bound to the first hyperparameters and spacing
-    ``dx`` it is asked for; other requests get ``None``. The factor grows by
-    a bordered block update that computes only the new Gram columns. A
-    growth that fails without jitter is not retried at that size or above,
-    and those segments take the dense path.
+    ``dx`` it is asked for; other requests get ``None``. A segment is on the
+    grid when each ``x[k] - x[0]`` is ``k * dx`` within 1e-12 relative plus
+    the rounding of ``x`` itself, so inputs such as ``0.1 * t`` qualify at
+    any offset. The factor
+    grows by a bordered block update that computes only the new Gram
+    columns. A growth that fails without jitter is not retried at that size
+    or above, and those segments take the dense path.
     """
 
     def __init__(self):
         self.key: tuple | None = None
+        self.dx: np.ndarray | None = None
         self.size = 0
         self.limit: int | None = None
         self._lower = np.zeros((0, 0))
@@ -182,20 +193,20 @@ class UniformGramFactor:
         n = len(x)
         if n < 2:
             return None
-        dx = x[1] - x[0]
-        if not np.array_equal(x - x[0], np.arange(n)[:, None] * dx):
+        key = (params.kernel, params.lengthscale, params.output_scale, params.noise_std)
+        if self.key is not None and key != self.key:
             return None
-        key = (params.kernel, params.lengthscale, params.output_scale,
-               params.noise_std, tuple(dx))
-        if self.key is None:
-            self.key = key
-        elif key != self.key:
+        dx = (x[-1] - x[0]) / (n - 1) if self.key is None else self.dx
+        grid = np.arange(n)[:, None] * dx
+        tol = 1e-12 * np.abs(grid) + 4 * _EPS * (np.abs(x[0]) + np.abs(x[-1]))
+        if not (np.abs(x - x[0] - grid) <= tol).all():
             return None
-        if n > self.size and not self._grow(n, dx, params, gram):
+        self.key, self.dx = key, dx
+        if n > self.size and not self._grow(n, params, gram):
             return None
         return np.ascontiguousarray(self._lower[:n, :n])
 
-    def _grow(self, n: int, dx: np.ndarray, params: ModelParams, gram) -> bool:
+    def _grow(self, n: int, params: ModelParams, gram) -> bool:
         if self.limit is not None and n >= self.limit:
             return False
         m = self.size
@@ -203,7 +214,7 @@ class UniformGramFactor:
             grown = np.zeros((max(n, 2 * len(self._lower)),) * 2)
             grown[:m, :m] = self._lower[:m, :m]
             self._lower = grown
-        grid = np.arange(n)[:, None] * dx
+        grid = np.arange(n)[:, None] * self.dx
         k_new = gram(grid, grid[m:], params)
         k_new[m:] += params.noise_std**2 * np.eye(n - m)
         if m:
@@ -241,7 +252,8 @@ class PrefixSums:
     ``s11`` of ``z_1^2``, ``logdet`` of ``2 log L_kk`` and, per channel,
     ``s1y`` of ``z_1 z_y`` and ``syy`` of ``z_y^2``. Shifting by the first
     output row ``ref`` bounds the ``syy - s1y^2 / s11`` cancellation by the
-    spread of the outputs, not by their level.
+    spread of the outputs, not by their level. Sums of the reversed window
+    (``ref = y[-1]``) score its last ``m`` points in the same way.
     """
 
     window: TimeSeriesWindow
@@ -252,16 +264,21 @@ class PrefixSums:
     syy: np.ndarray
 
     @classmethod
-    def whiten(cls, window: TimeSeriesWindow, chol_lower: np.ndarray) -> "PrefixSums":
-        """One triangular solve of ``[1, y - ref]`` against the window's factor."""
+    def whiten(cls, window: TimeSeriesWindow,
+               chol_lower: np.ndarray) -> tuple["PrefixSums", "PrefixSums"]:
+        """The forward and backward sums of ``window``, from one triangular
+        solve of ``[1, y - y[0], rev(y) - y[-1]]`` against its factor."""
         y = window.outputs
-        z = solve_triangular(chol_lower, np.column_stack([np.ones(len(y)), y - y[0]]),
+        z = solve_triangular(chol_lower, np.hstack([np.ones((len(y), 1)), y - y[0],
+                                                    y[::-1] - y[-1]]),
                              lower=True, check_finite=False)
         terms = np.hstack([z[:, :1]**2, 2.0 * np.log(np.diag(chol_lower))[:, None],
                            z[:, :1] * z[:, 1:], z[:, 1:]**2])
         sums = np.vstack([np.zeros(terms.shape[1]), np.cumsum(terms, axis=0)])
-        c = y.shape[1]
-        return cls(window, y[0], sums[:, 0], sums[:, 1], sums[:, 2:2 + c], sums[:, 2 + c:])
+        s11, logdet, c = sums[:, 0], sums[:, 1], y.shape[1]
+        s1y, syy = sums[:, 2:2 + 2 * c], sums[:, 2 + 2 * c:]
+        return (cls(window, y[0], s11, logdet, s1y[:, :c], syy[:, :c]),
+                cls(window, y[-1], s11, logdet, s1y[:, c:], syy[:, c:]))
 
     def mean(self, m: int) -> np.ndarray:
         """Maximum-likelihood per-channel means of the first ``m`` points."""
@@ -279,6 +296,10 @@ class PrefixSums:
         """Modified Mahalanobis distance of the first ``m`` points from ``mean``."""
         return _length_corrected(math.sqrt(max(self._quad(m, mean), 0.0)), m)
 
+    def segment_score(self, m: int) -> float:
+        """Average log-likelihood of the first ``m`` points at their own means."""
+        return self.log_likelihood(m, self.mean(m)) / m
+
 
 class ObservationModel:
     """Base class: parameter bookkeeping plus the shared distance metrics.
@@ -288,7 +309,9 @@ class ObservationModel:
     concurrently on the same object.
     """
 
-    prefix: PrefixSums | None = None  # of the last fitted window, where kept
+    # Forward and backward sums of the last fitted window, where kept.
+    prefix: PrefixSums | None = None
+    suffix: PrefixSums | None = None
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 3):
         self.prior_params = prior_params.copy()
@@ -425,8 +448,7 @@ class GaussianProcessModel(ObservationModel):
 
     ``gram_factor``, when given, is a ``UniformGramFactor`` shared with the
     detector's other models; it is kept only when no hyperparameter is
-    fitted. A fit that uses it keeps ``prefix``, from which
-    ``log_likelihood`` of that same window object is read.
+    fitted. A fit that uses it keeps ``prefix`` and ``suffix``.
     """
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 3,
@@ -479,8 +501,6 @@ class GaussianProcessModel(ObservationModel):
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
         self._check_window(window)
-        if self.prefix is not None and self.prefix.window is window:
-            return self.prefix.log_likelihood(len(window), self.params.mean)
         return self._log_likelihood_chol(window, self.params,
                                          self._chol(window.inputs, self.params))
 
@@ -548,10 +568,11 @@ class GaussianProcessModel(ObservationModel):
         if not self.fitted:
             # Fixed kernel and noise: the means are the whole fit.
             lower = self._shared_chol(window.inputs, params)
-            self.prefix = None if lower is None else PrefixSums.whiten(window, lower)
-            if self.prefix is None:
+            if lower is None:
+                self.prefix = self.suffix = None
                 self._fit_mean(window, params)
             else:
+                self.prefix, self.suffix = PrefixSums.whiten(window, lower)
                 params.mean = self.prefix.mean(len(window))
             self.params = params
             return self

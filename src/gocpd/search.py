@@ -50,27 +50,26 @@ class SplitScorer:
     ``cache`` maps each evaluated split to its score, so ``len(cache)``
     counts the evaluations made.
 
-    ``prefix``, when given, holds the ``PrefixSums`` of ``window`` under
-    the models' fixed hyperparameters: each left segment is then scored
-    from it, with no slice and no fit, and the right model scores its
-    segment from its own fit. Otherwise each evaluation fits both models,
-    warm-starting from the nearest previously evaluated split of this
-    iteration (or, for the first evaluation, from the models' current
-    parameters); ``fits`` keeps those parameters. Fits never write to the
-    parameters they start from, so they are handed back by reference.
+    ``prefix`` and ``suffix``, when given, hold the forward and backward
+    ``PrefixSums`` of ``window`` under the models' fixed hyperparameters:
+    each split is then scored from them on both sides, with no slice and no
+    fit. Otherwise each evaluation fits both models, warm-starting from the
+    nearest previously evaluated split of this iteration (or, for the first
+    evaluation, from the models' current parameters); ``fits`` keeps those
+    parameters. Fits never write to the parameters they start from, so they
+    are handed back by reference.
     """
 
     def __init__(self, window: TimeSeriesWindow, left_model: ObservationModel,
-                 right_model: ObservationModel, prefix: PrefixSums | None = None):
+                 right_model: ObservationModel, prefix: PrefixSums | None = None,
+                 suffix: PrefixSums | None = None):
         self.window = window
         self.left_model = left_model
         self.right_model = right_model
         self.prefix = prefix
+        self.suffix = suffix
         self.cache: dict[int, float] = {}
         self.fits: dict[int, tuple[ModelParams, ModelParams]] = {}
-
-    def score(self, tau: int) -> float:
-        return self.evaluate(tau)
 
     def evaluate(self, tau: int) -> float:
         hit = self.cache.get(tau)
@@ -79,23 +78,22 @@ class SplitScorer:
         win = self.window
         if not (win.start_index < tau <= win.end_index):
             raise ValueError(f"split {tau} outside window ({win.start_index}, {win.end_index}]")
-        right = win.slice(tau, win.end_index)
         if self.prefix is None:
             if self.fits:
                 nearest = min(self.fits, key=lambda seen: abs(seen - tau))
                 self.left_model.params, self.right_model.params = self.fits[nearest]
             left = win.slice(win.start_index, tau - 1)
+            right = win.slice(tau, win.end_index)
             self.left_model.fit(left)
-            left_value = self.left_model.avg_log_likelihood(left)
-        else:
-            m = tau - win.start_index
-            if m < self.left_model.min_fit_points:
-                raise TooFewPoints(f"left segment of {m} points is below the fitting minimum")
-            left_value = self.prefix.log_likelihood(m, self.prefix.mean(m)) / m
-        self.right_model.fit(right)
-        value = float(left_value + self.right_model.avg_log_likelihood(right))
-        if self.prefix is None:
+            self.right_model.fit(right)
+            value = float(self.left_model.avg_log_likelihood(left)
+                          + self.right_model.avg_log_likelihood(right))
             self.fits[tau] = (self.left_model.params, self.right_model.params)
+        else:
+            m, r = tau - win.start_index, win.end_index - tau + 1
+            if m < self.left_model.min_fit_points or r < self.right_model.min_fit_points:
+                raise TooFewPoints(f"split {tau} leaves a segment below the fitting minimum")
+            value = float(self.prefix.segment_score(m) + self.suffix.segment_score(r))
         self.cache[tau] = value
         return value
 

@@ -49,7 +49,7 @@ def test_criterion_1_unimodality_reproduction():
     window = step_example()
     scorer = SplitScorer(window, fixed_iid(0.001), fixed_iid(0.001))
     domain = list(effective_interval(window.end_index, 0, 0, 3))
-    scan = np.array([scorer.score(tau) for tau in domain])
+    scan = np.array([scorer.evaluate(tau) for tau in domain])
     elapsed = time.perf_counter() - started
 
     peak = domain[int(scan.argmax())]
@@ -71,14 +71,14 @@ def test_criterion_2_search_oracle_equivalence():
     for w in seeded_step_windows(200, seed=42, noise=noise):
         scorer = SplitScorer(w, fixed_iid(noise), fixed_iid(noise))
         domain = list(effective_interval(w.end_index, 0, 0, 3))
-        scan = np.array([scorer.score(tau) for tau in domain])
+        scan = np.array([scorer.evaluate(tau) for tau in domain])
         if not scan_is_unimodal(scan):
             non_unimodal += 1
             continue
         unimodal += 1
         # a fresh scorer: the scan's cache would hide the search
         search = SplitScorer(w, fixed_iid(noise), fixed_iid(noise))
-        candidate = ternary_argmax(search.score, domain[0], domain[-1], 0, tol=2)
+        candidate = ternary_argmax(search.evaluate, domain[0], domain[-1], 0, tol=2)
         if candidate != domain[int(scan.argmax())]:
             mismatches += 1
     rate = non_unimodal / 200

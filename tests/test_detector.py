@@ -108,7 +108,7 @@ def test_step_stream_matches_exhaustive_scan_oracle():
     det = run_series(window, step_config())
     scorer = SplitScorer(window, fixed_iid(0.1), fixed_iid(0.1))
     domain = effective_interval(100, 0, 0, 3)
-    scan = [scorer.score(tau) for tau in domain]
+    scan = [scorer.evaluate(tau) for tau in domain]
     oracle_location = domain[int(np.argmax(scan))]
     assert len(det.events) == 1
     assert abs(det.events[0].change_point - oracle_location) <= 2
@@ -126,7 +126,7 @@ def test_detector_search_equals_exhaustive_scan_when_scan_unimodal():
     for w in seeded_step_windows(200, seed=42, noise=0.1):
         scorer = SplitScorer(w, fixed_iid(0.1), fixed_iid(0.1))
         domain = effective_interval(w.end_index, 0, 0, 3)
-        scan = np.array([scorer.score(tau) for tau in domain])
+        scan = np.array([scorer.evaluate(tau) for tau in domain])
         if not scan_is_unimodal(scan):
             continue
         unimodal += 1
@@ -361,12 +361,15 @@ def test_fixed_gp_shared_factor_matches_dense_detector():
     for model in (dense.m0, dense.m1, dense.m2):
         model.gram_factor = None
     assert fast.m0.gram_factor is fast.m1.gram_factor is fast.m2.gram_factor
+    split_fits = []  # every split is scored from m0's sums, never by fitting
+    fast.m1.fit = fast.m2.fit = split_fits.append
     for batch in stream_batches(window, 1):
         fast.step(batch)
         dense.step(batch)
     assert [e.change_point for e in fast.events] == [e.change_point for e in dense.events]
     assert len(fast.events) >= 2
-    assert fast.m0.gram_factor.size > 0 and fast.m0.prefix is not None
+    assert fast.m0.gram_factor.size > 0 and split_fits == []
+    assert fast.m0.prefix is not None and fast.m0.suffix is not None
     assert len(fast.instrumentation) == len(dense.instrumentation)
     for got, want in zip(fast.instrumentation, dense.instrumentation):
         assert got.keys() == want.keys()

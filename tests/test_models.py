@@ -456,13 +456,18 @@ def test_grid_factor_unused_on_nonuniform_inputs_or_learned_hyperparameters():
     factor = UniformGramFactor()
     fast = fixed_gp(channels=3, gram_factor=factor)
     assert_models_agree(fast, fixed_gp(channels=3), nonuniform, rel=0)
-    assert factor.size == 0 and fast.prefix is None
+    assert factor.size == 0 and fast.prefix is None and fast.suffix is None
+    # A grid off by 1e-9 is not rounding: it takes the dense path too.
+    jittered = TimeSeriesWindow(np.arange(40) + 1e-9 * rng.normal(size=40),
+                                rng.normal(size=(40, 3)))
+    assert_models_agree(fast, fixed_gp(channels=3), jittered, rel=0)
+    assert factor.size == 0 and fast.prefix is None and fast.suffix is None
 
     uniform = grid_window(40, 1, seed=23)
     learned = dict(fix_kernel=False, fix_noise=False, max_fit_iters=5)
     fast = fixed_gp(gram_factor=factor, **learned)
     assert_models_agree(fast, fixed_gp(**learned), uniform, rel=0)
-    assert factor.size == 0 and fast.prefix is None
+    assert factor.size == 0 and fast.prefix is None and fast.suffix is None
 
 
 def test_grid_factor_growth_failure_falls_back_to_jitter():
@@ -478,7 +483,7 @@ def test_grid_factor_growth_failure_falls_back_to_jitter():
     fast = fixed_gp(gram_factor=factor, **settings)
     assert_models_agree(fast, fixed_gp(**settings), segment, rel=0)
     assert factor.limit is not None and factor.size < len(segment)
-    assert fast.prefix is None  # the whitening path is not taken either
+    assert fast.prefix is None and fast.suffix is None  # no whitening either
     # Beyond the failed size the factor is never grown again.
     limit = factor.limit
     assert_models_agree(fast, fixed_gp(**settings), grid_window(45, 1, seed=25), rel=0)
@@ -502,12 +507,17 @@ PREFIX_KERNELS = [(Kernel.RBF, 0.3), (Kernel.RBF, 1.0), (Kernel.RBF, 3.0),
                   (Kernel.DIRAC_DELTA, 1.0)]
 
 
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("called on the fixed-hyperparameter sums path")
+
+
 @pytest.mark.parametrize("kernel, lengthscale", PREFIX_KERNELS)
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("level", [0.0, 1e3])
 def test_prefix_sums_match_slice_and_fit(kernel, lengthscale, channels, level):
     # The oracle slices each segment and fits and scores it with a dense
-    # factorization; the shared-factor detector whitens the window once.
+    # factorization; the shared-factor detector whitens the window once,
+    # forwards for the left segments and backwards for the right ones.
     close = dict(rel=1e-9, abs=0)
     fast = fixed_gp_detector(kernel, lengthscale, channels, shared=True)
     dense = fixed_gp_detector(kernel, lengthscale, channels, shared=False)
@@ -520,44 +530,50 @@ def test_prefix_sums_match_slice_and_fit(kernel, lengthscale, channels, level):
     for det in (fast, dense):
         det.window, det.last_change = window, start
         det.m0.fit(window)
-    sums = fast.m0.prefix
-    assert sums is not None and sums.window is window and dense.m0.prefix is None
+    sums, back = fast.m0.prefix, fast.m0.suffix
+    assert sums.window is window and back.window is window
+    assert dense.m0.prefix is None and dense.m0.suffix is None
     assert fast.m0.params.mean == pytest.approx(dense.m0.params.mean, **close)
 
     oracle = dense.m1
-    fast_scorer = SplitScorer(window, fast.m1, fast.m2, sums)
+    fast.m1.fit = fast.m2.fit = fail_if_called
+    fast_scorer = SplitScorer(window, fast.m1, fast.m2, sums, back)
     dense_scorer = SplitScorer(window, dense.m1, dense.m2)
     for tau in range(start + 3, end - 1):
         left = window.slice(start, tau - 1)
         right = window.slice(tau, end)
-        m = len(left)
-        want_left = oracle.fit(left).avg_log_likelihood(left)
-        assert sums.log_likelihood(m, sums.mean(m)) / m == pytest.approx(want_left, **close)
+        m, r = len(left), len(right)
+        assert sums.segment_score(m) == pytest.approx(oracle.fit(left).avg_log_likelihood(left),
+                                                      **close)
         assert sums.mean(m) == pytest.approx(oracle.params.mean, **close)
-        want_right = oracle.fit(right).avg_log_likelihood(right)
-        assert fast.m2.fit(right).avg_log_likelihood(right) == pytest.approx(want_right,
-                                                                             **close)
-        assert fast.m2.prefix.window is right
-        assert fast_scorer.score(tau) == pytest.approx(dense_scorer.score(tau), **close)
+        assert back.segment_score(r) == pytest.approx(
+            oracle.fit(right).avg_log_likelihood(right), **close)
+        assert back.mean(r) == pytest.approx(oracle.params.mean, **close)
+        assert fast_scorer.evaluate(tau) == pytest.approx(dense_scorer.evaluate(tau), **close)
+    assert fast.m1.prefix is fast.m2.prefix is fast.m1.suffix is fast.m2.suffix is None
+
     def criteria(det):  # rows of (satisfied, d_left, d_right) as floats
         return np.array([det.criterion(tau) for tau in range(start, end)], dtype=float)
 
     wants = criteria(dense)
+    fast.m0.modified_mahalanobis = fail_if_called  # both distances come from the sums
     assert criteria(fast) == pytest.approx(wants, **close)
+    del fast.m0.modified_mahalanobis
     # With sums of another window, the criterion slices, as it does when
     # called on its own.
-    fitted = fast.m0.params
-    fast.m0.fit(full)
+    fitted, other = fast.m0.params, full.slice(0, 90)
+    fast.m0.fit(other)
     fast.m0.params = fitted
-    assert fast.m0.prefix.window is full
+    assert fast.m0.prefix.window is other and fast.m0.suffix.window is other
     assert criteria(fast) == pytest.approx(wants, **close)
 
 
 @pytest.mark.parametrize("kernel, lengthscale", PREFIX_KERNELS)
 def test_prefix_sums_do_not_depend_on_the_output_level(kernel, lengthscale):
-    # Whitening y - y[0] rather than y keeps the scores of outputs raised by
-    # 1e3 within rounding of the same outputs at level 0 (about 4e-13 here);
-    # sums of the unshifted outputs drift by 4e-11 to 3e-10.
+    # Whitening y - y[0] and rev(y) - y[-1] rather than y keeps the scores of
+    # outputs raised by 1e3 within rounding of the same outputs at level 0
+    # (about 4e-13 here); sums of the unshifted outputs drift by 4e-11 to
+    # 3e-10.
     base = grid_window(100, 1, seed=30, dx=0.5, x0=3.0).slice(37, 99)
     scores = []
     for level in (0.0, 1e3):
@@ -565,7 +581,35 @@ def test_prefix_sums_do_not_depend_on_the_output_level(kernel, lengthscale):
         det = fixed_gp_detector(kernel, lengthscale, 1, shared=True)
         det.window, det.last_change = window, 37
         det.m0.fit(window)
-        sums = det.m0.prefix
-        scores.append([sums.log_likelihood(m, sums.mean(m)) / m for m in range(3, len(window))]
+        sums, back = det.m0.prefix, det.m0.suffix
+        scores.append([sums.segment_score(m) for m in range(3, len(window))]
+                      + [back.segment_score(r) for r in range(3, len(window))]
                       + [d for tau in range(37, 99) for d in det.criterion(tau)[1:]])
     assert scores[1] == pytest.approx(scores[0], rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("offset", [37, 120, 200, 20000])
+def test_grid_factor_serves_rounded_spacing_at_any_offset(offset):
+    # On x = 0.1 * t, x[k] - x[0] differs from k * 0.1 in the last bits, and
+    # each window's own x[1] - x[0] differs from the spacing the factor was
+    # bound to; at t = 20000 the rounding of x alone is 2e-12 of the
+    # spacing. Those windows must still take the shared factor.
+    close = dict(rel=1e-9, abs=0)
+    factor = UniformGramFactor()
+    fast, dense = fixed_gp(gram_factor=factor), fixed_gp()
+    t = np.arange(offset + 80)
+    y = np.random.default_rng(31).normal(size=len(t)) + (t >= offset + 30)
+    full = TimeSeriesWindow(0.1 * t, y)
+    fast.fit(full.slice(0, 29))  # binds the factor, as a detector's first fit does
+    window = full.slice(offset, offset + 79)
+    fast.fit(window)
+    sums, back = fast.prefix, fast.suffix
+    assert sums is not None and back is not None and factor.limit is None
+    assert fast.params.mean == pytest.approx(dense.fit(window).params.mean, **close)
+    start, end = window.start_index, window.end_index
+    for tau in range(start + 3, end - 1):
+        left, right = window.slice(start, tau - 1), window.slice(tau, end)
+        assert sums.segment_score(len(left)) == pytest.approx(
+            dense.fit(left).avg_log_likelihood(left), **close)
+        assert back.segment_score(len(right)) == pytest.approx(
+            dense.fit(right).avg_log_likelihood(right), **close)

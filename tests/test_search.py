@@ -26,7 +26,7 @@ def search(w, prev, tol=2, noise=0.001):
     """One fresh-scorer search of ``w``, composed as the detector does."""
     scorer = SplitScorer(w, fixed_iid(noise=noise), fixed_iid(noise=noise))
     dom = effective_interval(w.end_index, w.start_index, prev, 3)
-    return ternary_argmax(scorer.score, dom.start, dom.stop - 1, prev, tol), scorer
+    return ternary_argmax(scorer.evaluate, dom.start, dom.stop - 1, prev, tol), scorer
 
 
 class CountingScore:
@@ -138,11 +138,11 @@ def test_split_score_rejects_tiny_segments():
 def test_scorer_memoizes_and_counts_unique_evaluations():
     w = step_window()
     scorer = SplitScorer(w, fixed_iid(), fixed_iid())
-    a = scorer.score(50)
-    b = scorer.score(50)
+    a = scorer.evaluate(50)
+    b = scorer.evaluate(50)
     assert a == b
     assert len(scorer.cache) == 1
-    scorer.score(30)
+    scorer.evaluate(30)
     assert len(scorer.cache) == 2
 
 
@@ -193,7 +193,7 @@ def test_search_equals_exhaustive_scan_when_scan_unimodal():
     for w in seeded_step_windows(100, seed=42, noise=noise):
         scorer = SplitScorer(w, fixed_iid(noise=noise), fixed_iid(noise=noise))
         dom = effective_interval(w.end_index, 0, 0, 3)
-        scan = np.array([scorer.score(tau) for tau in dom])
+        scan = np.array([scorer.evaluate(tau) for tau in dom])
         checked += 1
         if not scan_is_unimodal(scan):
             non_unimodal += 1
@@ -237,7 +237,7 @@ def test_step_scan_unimodal_near_change():
     scorer = SplitScorer(w, fixed_iid(), fixed_iid())
     dom = effective_interval(100, 0, 0, 3)
     taus = list(dom)
-    vals = np.array([scorer.score(tau) for tau in taus])
+    vals = np.array([scorer.evaluate(tau) for tau in taus])
     assert taus[int(vals.argmax())] in range(48, 53)
     local_max_in_window = [
         taus[i] for i in range(1, len(taus) - 1)
