@@ -1,13 +1,18 @@
 """CSV/JSON/JSONL readers and writers shared by the CLI and tests.
 
 Series CSV schema: header ``t,x0..x{D-1},y0..y{C-1}``; for plain time
-series ``x0`` equals ``t``. JSONL files are written with sorted keys and
-compact separators so identical runs produce byte-identical artifacts.
+series ``x0`` equals ``t``. A well-formed series CSV is parsed by one
+``np.loadtxt`` call; a file that call does not accept is read again row by
+row, which names the faulty row. Only numpy is needed here: nothing in this
+module loads scipy, which only GP models use. JSONL files are written with
+sorted keys and compact separators so identical runs produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -17,35 +22,57 @@ from .errors import ConfigError
 from .window import TimeSeriesWindow
 
 
+def _series_header(d: int, c: int) -> list[str]:
+    return ["t"] + [f"x{i}" for i in range(d)] + [f"y{i}" for i in range(c)]
+
+
 def write_series_csv(path, window: TimeSeriesWindow) -> None:
-    path = Path(path)
-    d, c = window.input_dim, window.channel_count
-    header = ["t"] + [f"x{i}" for i in range(d)] + [f"y{i}" for i in range(c)]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        ts = window.timestamps()
-        for i in range(len(window)):
-            row = [int(ts[i])]
-            row += [repr(float(v)) for v in window.inputs[i]]
-            row += [repr(float(v)) for v in window.outputs[i]]
-            writer.writerow(row)
+    """Write ``window`` with CRLF line ends and ``repr`` floats, which read back exactly."""
+    rows = np.hstack([window.inputs, window.outputs]).tolist()
+    lines = [",".join(_series_header(window.input_dim, window.channel_count))]
+    lines += [",".join([str(t)] + [repr(v) for v in row])
+              for t, row in enumerate(rows, start=window.start_index)]
+    with Path(path).open("w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_series_csv(path) -> TimeSeriesWindow:
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
         if not header or header[0] != "t":
             raise ValueError(f"{path}: first column must be 't', got {header[:1]}")
         d = sum(1 for name in header if name.startswith("x"))
-        c = sum(1 for name in header if name.startswith("y"))
-        if d == 0 or c == 0 or 1 + d + c != len(header):
-            raise ValueError(f"{path}: header must be t,x0..,y0.. but is {header}")
+        c = len(header) - 1 - d
+        if d == 0 or c == 0 or header != _series_header(d, c):
+            raise ValueError(f"{path}: header must be t,x0..x{{D-1}},y0..y{{C-1}} but is {header}")
+        body = fh.read()
+    rows = None
+    if body.strip():
+        row = np.dtype([("t", np.int64), ("v", np.float64, (d + c,))])
+        try:
+            # comments=None: a '#' line is a malformed row, as it is row by row.
+            rows = np.loadtxt(io.StringIO(body), dtype=row, delimiter=",",
+                              comments=None, ndmin=1)
+        except ValueError:
+            pass
+    if rows is not None and len(rows) and np.array_equal(
+            rows["t"], np.arange(rows["t"][0], rows["t"][0] + len(rows))):
+        values = rows["v"]
+        return TimeSeriesWindow(np.ascontiguousarray(values[:, :d]),
+                                np.ascontiguousarray(values[:, d:]),
+                                start_index=int(rows["t"][0]))
+    return _read_series_rows(path, d, c)
+
+
+def _read_series_rows(path: Path, d: int, c: int) -> TimeSeriesWindow:
+    """Row-by-row reader for what ``np.loadtxt`` rejects; raises on the first fault."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         ts, xs, ys = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:

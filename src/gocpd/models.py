@@ -54,6 +54,10 @@ innovations are the first ``r`` innovations of the reversed window under
 the same leading factor. ``fit`` whitens ``[1, y - y[0], rev(y) - y[-1]]``
 in one solve and keeps the forward sums as ``prefix`` and the backward
 ones as ``suffix``.
+
+Only the GP family needs scipy. ``scipy.linalg`` is imported when the first
+GP model or grid factor is built, so IID models run on numpy alone and a
+process that uses no GP model never loads scipy.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
 
 from .errors import NonPositiveDefinite, TooFewPoints
 from .window import TimeSeriesWindow
@@ -142,6 +145,28 @@ class PosteriorSummary:
     cov: np.ndarray
 
 
+_scipy_linalg = None
+
+
+def _linalg():
+    """``scipy.linalg``, imported on the first call.
+
+    Only GP models factor matrices, so a process that builds IID models
+    alone never loads scipy. GP models and grid factors call this when
+    they are built, which keeps the import inside set-up.
+    """
+    global _scipy_linalg
+    if _scipy_linalg is None:
+        import scipy.linalg
+        _scipy_linalg = scipy.linalg
+    return _scipy_linalg
+
+
+def cholesky(mat: np.ndarray, lower: bool = False) -> np.ndarray:
+    """``scipy.linalg.cholesky``: every factorization of a model goes through here."""
+    return _linalg().cholesky(mat, lower=lower)
+
+
 def chol_with_jitter(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, escalating diagonal jitter on failure.
 
@@ -179,6 +204,7 @@ class UniformGramFactor:
     """
 
     def __init__(self):
+        _linalg()
         self.key: tuple | None = None
         self.dx: np.ndarray | None = None
         self.size = 0
@@ -218,7 +244,7 @@ class UniformGramFactor:
         k_new = gram(grid, grid[m:], params)
         k_new[m:] += params.noise_std**2 * np.eye(n - m)
         if m:
-            l21 = solve_triangular(self._lower[:m, :m], k_new[:m], lower=True).T
+            l21 = _linalg().solve_triangular(self._lower[:m, :m], k_new[:m], lower=True).T
         else:
             l21 = np.zeros((n, 0))
         try:
@@ -233,7 +259,7 @@ class UniformGramFactor:
 
 
 def _mvn_logpdf_chol(residual: np.ndarray, chol_lower: np.ndarray) -> float:
-    z = solve_triangular(chol_lower, residual, lower=True)
+    z = _linalg().solve_triangular(chol_lower, residual, lower=True)
     logdet = 2.0 * np.sum(np.log(np.diag(chol_lower)))
     return -0.5 * (z @ z + logdet + len(residual) * LOG_2PI)
 
@@ -269,9 +295,8 @@ class PrefixSums:
         """The forward and backward sums of ``window``, from one triangular
         solve of ``[1, y - y[0], rev(y) - y[-1]]`` against its factor."""
         y = window.outputs
-        z = solve_triangular(chol_lower, np.hstack([np.ones((len(y), 1)), y - y[0],
-                                                    y[::-1] - y[-1]]),
-                             lower=True, check_finite=False)
+        rhs = np.hstack([np.ones((len(y), 1)), y - y[0], y[::-1] - y[-1]])
+        z = _linalg().solve_triangular(chol_lower, rhs, lower=True, check_finite=False)
         terms = np.hstack([z[:, :1]**2, 2.0 * np.log(np.diag(chol_lower))[:, None],
                            z[:, :1] * z[:, 1:], z[:, 1:]**2])
         sums = np.vstack([np.zeros(terms.shape[1]), np.cumsum(terms, axis=0)])
@@ -457,6 +482,7 @@ class GaussianProcessModel(ObservationModel):
                  gram_factor: UniformGramFactor | None = None):
         if prior_params.kernel is None:
             raise ValueError("GaussianProcessModel requires a kernel kind")
+        _linalg()
         super().__init__(prior_params, min_fit_points=min_fit_points)
         learn_kernel = not fix_kernel and prior_params.kernel == Kernel.RBF
         self.fitted = tuple(name for name, on in (
@@ -531,10 +557,10 @@ class GaussianProcessModel(ObservationModel):
         """Set the means to their exact optimum; returns the Gram factor."""
         y = window.outputs
         chol_lower = self._chol(window.inputs, params)
-        z_one = solve_triangular(chol_lower, np.ones(len(y)), lower=True)
+        z_one = _linalg().solve_triangular(chol_lower, np.ones(len(y)), lower=True)
         denom = z_one @ z_one
         params.mean = np.array([
-            float(z_one @ solve_triangular(chol_lower, y[:, c], lower=True) / denom)
+            float(z_one @ _linalg().solve_triangular(chol_lower, y[:, c], lower=True) / denom)
             for c in range(self.channel_count)
         ])
         return chol_lower
@@ -551,7 +577,7 @@ class GaussianProcessModel(ObservationModel):
         """Gradient of the marginal log-likelihood in the fitted log-parameters,
         from the factor ``_objective`` returned (the means leave the Gram alone)."""
         y = window.outputs
-        kinv = cho_solve((chol_lower, True), np.eye(len(y)))
+        kinv = _linalg().cho_solve((chol_lower, True), np.eye(len(y)))
         alphas = [kinv @ (y[:, c] - params.mean[c]) for c in range(self.channel_count)]
         grad = []
         for dmat in self._grad_dmats(sq, params):
@@ -622,7 +648,7 @@ class GaussianProcessModel(ObservationModel):
         self._check_window(train)
         k_tq = self._gram(train.inputs, q)
         chol_lower = chol_with_jitter(self._noisy_gram(train.inputs))
-        solved = cho_solve((chol_lower, True), k_tq)
+        solved = _linalg().cho_solve((chol_lower, True), k_tq)
         cov = self._gram(q) - k_tq.T @ solved + p.noise_std**2 * np.eye(len(q))
         cov = 0.5 * (cov + cov.T)
         return p.mean + solved.T @ (train.outputs - p.mean), cov
@@ -633,7 +659,7 @@ class GaussianProcessModel(ObservationModel):
             q = q[:, None]
         means, cov = self._predictive(q, train)
         if self.channel_count > 1:
-            cov = block_diag(*[cov] * self.channel_count)
+            cov = _linalg().block_diag(*[cov] * self.channel_count)
         return PosteriorSummary(mean=_flatten_channel_major(means), cov=cov)
 
     def mahalanobis(self, window: TimeSeriesWindow,
@@ -648,5 +674,5 @@ class GaussianProcessModel(ObservationModel):
             means, cov = self._predictive(window.inputs, train)
             chol_lower = chol_with_jitter(cov)
             resid = window.outputs - means
-        z = solve_triangular(chol_lower, resid, lower=True)
+        z = _linalg().solve_triangular(chol_lower, resid, lower=True)
         return float(np.sqrt(np.sum(z * z)))

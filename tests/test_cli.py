@@ -311,9 +311,10 @@ def test_bench_reports_timing(tmp_path, step_csv, config_path, capsys):
                "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "ms/point" in text
+    assert "ms/point" in text and " read " in text
     result = json.loads((out / "bench.json").read_text())
     assert result["points"] == 101
+    assert result["read_s"] > 0
     assert result["runs"][0]["detections"] == 1
 
 
