@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroVariance
-from .models import Kernel, ModelParams, chol_with_jitter
+from .models import Kernel, ModelParams, chol_with_jitter, noisy_gram
 from .window import TimeSeriesWindow, require_finite
 
 VARIABLE_PARAMS = ("lengthscale", "output_scale", "mean", "noise_std")
@@ -116,14 +116,7 @@ def sample_piecewise_gp(script: RegimeScript) -> tuple[TimeSeriesWindow, list[in
     for index, (start, stop) in enumerate(script.segment_bounds()):
         params = script.segment_params(index)
         n = stop - start
-        x = np.arange(n, dtype=float)[:, None]
-        if params.kernel == Kernel.DIRAC_DELTA:
-            gram = np.eye(n)
-        else:
-            sq = (x - x.T) ** 2
-            gram = params.output_scale**2 * np.exp(-0.5 * sq / params.lengthscale**2)
-        cov = gram + params.noise_std**2 * np.eye(n)
-        lower = chol_with_jitter(cov)
+        lower = chol_with_jitter(noisy_gram(np.arange(n, dtype=float)[:, None], params))
         pieces.append(params.mean[0] + lower @ rng.standard_normal(n))
     y = np.concatenate(pieces)
     t = np.arange(script.length, dtype=float)[:, None]

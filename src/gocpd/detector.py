@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, NonContiguousBatch, NonPositiveDefinite, TooFewPoints
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
-                     ModelParams, ObservationModel, UniformGramFactor)
+                     ModelParams, ObservationModel)
 from .search import SplitScorer, effective_interval, ternary_argmax
 from .window import TimeSeriesWindow, require_finite
 
@@ -81,8 +81,9 @@ class ModelSpec:
         if self.min_fit_points < 1:
             raise ConfigError("model.min_fit_points must be >= 1")
 
-    def build(self, gram_factor: UniformGramFactor | None = None) -> ObservationModel:
-        """A fresh model; GP models use ``gram_factor`` when it is given."""
+    def build(self) -> ObservationModel:
+        """A fresh model at the priors; a GP model with every hyperparameter
+        fixed comes with its own grid factor."""
         params = ModelParams(
             mean=np.asarray(self.mean, dtype=float),
             noise_std=self.noise_std,
@@ -96,8 +97,7 @@ class ModelSpec:
         return GaussianProcessModel(
             params, min_fit_points=self.min_fit_points, fix_noise=self.fix_noise,
             fix_kernel=self.fix_kernel, fix_output_scale=self.fix_output_scale,
-            max_fit_iters=self.max_fit_iters, gram_factor=gram_factor,
-        )
+            max_fit_iters=self.max_fit_iters)
 
 
 @dataclass
@@ -200,12 +200,9 @@ class Detector:
 
     def __init__(self, config: DetectorConfig):
         self.config = config
-        # The three models share one grid factor; it only fills up when the
-        # GP hyperparameters are all fixed.
-        shared = UniformGramFactor() if config.model.family == "gp" else None
-        self.m0 = config.model.build(shared)
-        self.m1 = config.model.build(shared)
-        self.m2 = config.model.build(shared)
+        self.m0 = config.model.build()
+        self.m1 = config.model.build()
+        self.m2 = config.model.build()
         self.window: TimeSeriesWindow | None = None
         self.last_change: int = 0
         self.candidate: int | None = None
@@ -305,13 +302,11 @@ class Detector:
         ``[last_change, candidate] | [candidate + 1, t]``, one point right of
         the search's ``[start, tau - 1] | [tau, t]`` and of the reset's.
         Each distance is read from ``m0``'s forward or backward sums when
-        they were built from this window; the left one also needs the
-        window to start at ``last_change``.
+        they were built from this window, which starts at ``last_change``.
         """
         t, mean = self.window.end_index, self.m0.params.mean
         prefix, suffix = self.m0.prefix, self.m0.suffix
-        if (prefix is not None and prefix.window is self.window
-                and self.window.start_index == self.last_change):
+        if prefix is not None and prefix.window is self.window:
             d_left = prefix.modified_mahalanobis(candidate - self.last_change + 1, mean)
         else:
             d_left = self.m0.modified_mahalanobis(self.window.slice(self.last_change, candidate))

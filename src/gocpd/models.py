@@ -18,8 +18,8 @@ Every model exposes:
   either the marginal under the fitted parameters (``train=None``) or the
   conditional Gaussian given a training window;
 * ``mahalanobis(window)`` / ``modified_mahalanobis(window)`` -- the distance
-  ``sqrt(r^T Sigma^{-1} r)`` of the observations from the predictive mean,
-  and the length-corrected variant ``d^(2/n)``.
+  ``sqrt(r^T Sigma^{-1} r)`` of the observations from the fitted means under
+  the marginal covariance, and the length-corrected variant ``d^(2/n)``.
 
 Every fit starts from the model's current ``params`` and ends by binding
 ``params`` to a new ``ModelParams`` built in that call; it never writes to
@@ -27,26 +27,25 @@ a parameter object it did not create, so callers may keep fitted ``params``
 and hand them back as a later starting point without copying. ``reset()``
 is the only way back to the priors.
 
-When every GP hyperparameter is fixed, the models of one detector share a
-``UniformGramFactor``: a growing lower Cholesky factor of the noisy Gram on
-the grid ``0, dx, 2dx, ...``. A stationary kernel depends only on input
-differences, so on a segment whose inputs are ``x[0] + k * dx`` the noisy
-Gram is the leading block of the grid's Gram, and the Cholesky factor
-of a leading block is the leading block of the Cholesky factor: the
-recurrence for the first n rows reads only the first n rows and columns.
-This is exact, not an approximation. Fitting, the log-likelihood and the
-marginal Mahalanobis distance then slice the shared factor instead of
-factoring afresh. Learned hyperparameters, non-uniform inputs, and a grid
-factor whose growth fails without jitter all take the dense
-``chol_with_jitter`` path, which stays the reference.
+The GP family has one kernel (``gram``, ``noisy_gram``) and one whitening
+(``PrefixSums.whiten``). Each Gaussian log-density, optimal mean and
+Mahalanobis distance sums the innovations ``L^{-1} v`` of one triangular
+solve against the lower Cholesky factor ``L`` of the noisy Gram
+(Rasmussen & Williams, *GPML*, Algorithm 2.1). As ``L^{-1}`` is lower
+triangular, the first ``m`` innovations use only the first ``m`` entries of
+``v`` and the leading block of ``L``, the factor of the first ``m`` points,
+so the prefix sums of one window's innovations score each of its prefixes
+exactly: a split's left segment, the criterion's left segment, the window.
 
-On that path ``fit`` also whitens its window once and keeps ``PrefixSums``.
-As ``L^{-1}`` is lower triangular, the first ``m`` entries of ``L^{-1} v``
-use only the first ``m`` entries of ``v`` and the leading block of ``L``,
-which is the factor of the first ``m`` points. So each prefix of the window
-(a split's left segment, the criterion's left segment, the window itself)
-is scored exactly from prefix sums of the window's innovations. A suffix is
-scored the same way from the reversed window. The grid's noisy Gram ``K``
+A GP model whose hyperparameters are all fixed owns a ``UniformGramFactor``,
+a growing lower Cholesky factor of the noisy Gram on the grid ``0, dx,
+2dx, ...``. A stationary kernel depends only on input differences, so on a
+segment whose inputs are ``x[0] + k * dx`` the noisy Gram and its factor
+are leading blocks of the grid's, exactly. Learned hyperparameters,
+non-uniform inputs, and a grid factor whose growth fails without jitter
+all factor afresh with ``chol_with_jitter``, which stays the reference.
+
+On the grid ``fit`` also keeps backward sums. The grid's noisy Gram ``K``
 is symmetric Toeplitz, hence persymmetric: ``J K J = K`` with ``J`` the
 reversal (Golub & Van Loan, section 4.7). So the last ``r`` points read
 backwards have the same Gram ``K_r`` and the same ``log det``, and their
@@ -55,9 +54,8 @@ the same leading factor. ``fit`` whitens ``[1, y - y[0], rev(y) - y[-1]]``
 in one solve and keeps the forward sums as ``prefix`` and the backward
 ones as ``suffix``.
 
-Only the GP family needs scipy. ``scipy.linalg`` is imported when the first
-GP model or grid factor is built, so IID models run on numpy alone and a
-process that uses no GP model never loads scipy.
+Only the GP family needs scipy: ``scipy.linalg`` is imported when the
+first GP model is built, so a process with IID models alone never loads it.
 """
 
 from __future__ import annotations
@@ -189,33 +187,49 @@ def chol_with_jitter(mat: np.ndarray) -> np.ndarray:
     )
 
 
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sum((a[:, None, :] - b[None, :, :])**2, axis=-1)
+
+
+def gram(a: np.ndarray, b: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Noise-free kernel matrix between the input rows of ``a`` and ``b``.
+
+    RBF: ``output_scale^2 * exp(-|x - x'|^2 / (2 lengthscale^2))``; Dirac
+    delta: the indicator ``1[x == x']``.
+    """
+    sq = _sqdist(a, b)
+    if params.kernel == Kernel.DIRAC_DELTA:
+        return (sq == 0.0).astype(float)
+    return params.output_scale**2 * np.exp(-0.5 * sq / params.lengthscale**2)
+
+
+def noisy_gram(x: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Covariance of the noisy outputs at the inputs ``x``."""
+    return gram(x, x, params) + params.noise_std**2 * np.eye(len(x))
+
+
 class UniformGramFactor:
     """Growing lower Cholesky factor of the noisy Gram on ``0, dx, 2dx, ...``.
 
-    One instance serves every GP model of a detector whose hyperparameters
-    are all fixed. It is bound to the first hyperparameters and spacing
-    ``dx`` it is asked for; other requests get ``None``. A segment is on the
-    grid when each ``x[k] - x[0]`` is ``k * dx`` within 1e-12 relative plus
-    the rounding of ``x`` itself, so inputs such as ``0.1 * t`` qualify at
-    any offset. The factor
-    grows by a bordered block update that computes only the new Gram
-    columns. A growth that fails without jitter is not retried at that size
-    or above, and those segments take the dense path.
+    Each GP model whose hyperparameters are all fixed owns one. It is bound
+    to the first hyperparameters and spacing ``dx`` it is asked for; other
+    requests get ``None``. A segment is on the grid when each ``x[k] - x[0]``
+    is ``k * dx`` within 1e-12 relative plus the rounding of ``x`` itself,
+    so inputs such as ``0.1 * t`` qualify at any offset. The factor grows
+    by a bordered block update that computes only the new Gram columns. A
+    growth that fails without jitter is not retried at that size or above,
+    and those segments take the dense path.
     """
 
     def __init__(self):
-        _linalg()
         self.key: tuple | None = None
         self.dx: np.ndarray | None = None
         self.size = 0
         self.limit: int | None = None
         self._lower = np.zeros((0, 0))
 
-    def leading(self, x: np.ndarray, params: ModelParams, gram) -> np.ndarray | None:
-        """Lower factor of the noisy Gram on ``x``, or None when it does not apply.
-
-        ``gram(a, b, params)`` is the model's noise-free kernel.
-        """
+    def leading(self, x: np.ndarray, params: ModelParams) -> np.ndarray | None:
+        """Lower factor of the noisy Gram on ``x``, or None when it does not apply."""
         n = len(x)
         if n < 2:
             return None
@@ -228,11 +242,11 @@ class UniformGramFactor:
         if not (np.abs(x - x[0] - grid) <= tol).all():
             return None
         self.key, self.dx = key, dx
-        if n > self.size and not self._grow(n, params, gram):
+        if n > self.size and not self._grow(n, params):
             return None
         return np.ascontiguousarray(self._lower[:n, :n])
 
-    def _grow(self, n: int, params: ModelParams, gram) -> bool:
+    def _grow(self, n: int, params: ModelParams) -> bool:
         if self.limit is not None and n >= self.limit:
             return False
         m = self.size
@@ -258,12 +272,6 @@ class UniformGramFactor:
         return True
 
 
-def _mvn_logpdf_chol(residual: np.ndarray, chol_lower: np.ndarray) -> float:
-    z = _linalg().solve_triangular(chol_lower, residual, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol_lower)))
-    return -0.5 * (z @ z + logdet + len(residual) * LOG_2PI)
-
-
 def _length_corrected(d: float, n: int) -> float:
     """The modified Mahalanobis distance ``d^(2 / n)``; 0 stays 0."""
     return 0.0 if d == 0.0 else float(d ** (2.0 / n))
@@ -271,7 +279,7 @@ def _length_corrected(d: float, n: int) -> float:
 
 @dataclass
 class PrefixSums:
-    """Prefix sums of one window's innovations under fixed hyperparameters.
+    """Prefix sums of one window's innovations.
 
     With ``L`` the factor of the window's noisy Gram, ``z_1 = L^{-1} 1`` and
     ``z_y = L^{-1} (y - ref)``, row ``m`` sums the first ``m`` points:
@@ -290,20 +298,27 @@ class PrefixSums:
     syy: np.ndarray
 
     @classmethod
-    def whiten(cls, window: TimeSeriesWindow,
-               chol_lower: np.ndarray) -> tuple["PrefixSums", "PrefixSums"]:
+    def whiten(cls, window: TimeSeriesWindow, chol_lower: np.ndarray,
+               backward: bool = True) -> tuple["PrefixSums", "PrefixSums | None"]:
         """The forward and backward sums of ``window``, from one triangular
-        solve of ``[1, y - y[0], rev(y) - y[-1]]`` against its factor."""
+        solve of ``[1, y - y[0], rev(y) - y[-1]]`` against its factor.
+
+        The backward sums need a persymmetric Gram; for any other factor
+        pass ``backward=False`` to solve ``[1, y - y[0]]`` and get ``None``.
+        """
         y = window.outputs
-        rhs = np.hstack([np.ones((len(y), 1)), y - y[0], y[::-1] - y[-1]])
-        z = _linalg().solve_triangular(chol_lower, rhs, lower=True, check_finite=False)
+        cols = [np.ones((len(y), 1)), y - y[0]] + ([y[::-1] - y[-1]] if backward else [])
+        z = _linalg().solve_triangular(chol_lower, np.hstack(cols), lower=True,
+                                       check_finite=False)
         terms = np.hstack([z[:, :1]**2, 2.0 * np.log(np.diag(chol_lower))[:, None],
                            z[:, :1] * z[:, 1:], z[:, 1:]**2])
         sums = np.vstack([np.zeros(terms.shape[1]), np.cumsum(terms, axis=0)])
-        s11, logdet, c = sums[:, 0], sums[:, 1], y.shape[1]
-        s1y, syy = sums[:, 2:2 + 2 * c], sums[:, 2 + 2 * c:]
-        return (cls(window, y[0], s11, logdet, s1y[:, :c], syy[:, :c]),
-                cls(window, y[-1], s11, logdet, s1y[:, c:], syy[:, c:]))
+        s11, logdet, c, k = sums[:, 0], sums[:, 1], y.shape[1], z.shape[1] - 1
+        s1y, syy = sums[:, 2:2 + k], sums[:, 2 + k:]
+        forward = cls(window, y[0], s11, logdet, s1y[:, :c], syy[:, :c])
+        if not backward:
+            return forward, None
+        return forward, cls(window, y[-1], s11, logdet, s1y[:, c:], syy[:, c:])
 
     def mean(self, m: int) -> np.ndarray:
         """Maximum-likelihood per-channel means of the first ``m`` points."""
@@ -317,9 +332,13 @@ class PrefixSums:
         """Log-likelihood of the first ``m`` points under the means ``mean``."""
         return -0.5 * (self._quad(m, mean) + len(self.ref) * (self.logdet[m] + m * LOG_2PI))
 
+    def mahalanobis(self, m: int, mean: np.ndarray) -> float:
+        """Mahalanobis distance of the first ``m`` points from ``mean``."""
+        return math.sqrt(max(self._quad(m, mean), 0.0))
+
     def modified_mahalanobis(self, m: int, mean: np.ndarray) -> float:
         """Modified Mahalanobis distance of the first ``m`` points from ``mean``."""
-        return _length_corrected(math.sqrt(max(self._quad(m, mean), 0.0)), m)
+        return _length_corrected(self.mahalanobis(m, mean), m)
 
     def segment_score(self, m: int) -> float:
         """Average log-likelihood of the first ``m`` points at their own means."""
@@ -330,8 +349,9 @@ class ObservationModel:
     """Base class: parameter bookkeeping plus the shared distance metrics.
 
     Concrete families implement ``fit``, ``log_likelihood``, ``posterior``
-    and ``mahalanobis``. Instances are single-writer: do not fit and predict
-    concurrently on the same object.
+    and the marginal ``mahalanobis``; ``avg_log_likelihood`` and
+    ``modified_mahalanobis`` derive from them. Instances are single-writer:
+    do not fit and predict concurrently on the same object.
     """
 
     # Forward and backward sums of the last fitted window, where kept.
@@ -377,14 +397,12 @@ class ObservationModel:
     def posterior(self, query_inputs, train: TimeSeriesWindow | None = None) -> PosteriorSummary:
         raise NotImplementedError
 
-    def mahalanobis(self, window: TimeSeriesWindow,
-                    train: TimeSeriesWindow | None = None) -> float:
-        """Distance of the outputs from the predictive mean.
+    def mahalanobis(self, window: TimeSeriesWindow) -> float:
+        """Distance of the outputs from the fitted means.
 
         ``sqrt(r^T Sigma^{-1} r)`` with ``r`` the flattened residuals and
-        ``Sigma`` the predictive covariance on ``window.inputs``. With
-        ``train=None`` the predictive is the marginal under the fitted
-        parameters; channels contribute independent blocks.
+        ``Sigma`` the marginal covariance on ``window.inputs`` under the
+        fitted parameters; channels contribute independent blocks.
         """
         raise NotImplementedError
 
@@ -394,10 +412,9 @@ class ObservationModel:
         """Log-likelihood divided by the number of observations."""
         return self.log_likelihood(window) / len(window)
 
-    def modified_mahalanobis(self, window: TimeSeriesWindow,
-                             train: TimeSeriesWindow | None = None) -> float:
+    def modified_mahalanobis(self, window: TimeSeriesWindow) -> float:
         """Length-corrected distance ``d^(2 / n)``; 0 stays 0."""
-        return _length_corrected(self.mahalanobis(window, train=train), len(window))
+        return _length_corrected(self.mahalanobis(window), len(window))
 
 
 def _flatten_channel_major(outputs: np.ndarray) -> np.ndarray:
@@ -447,9 +464,8 @@ class IidGaussianModel(ObservationModel):
         cov = self.params.noise_std**2 * np.eye(n * self.channel_count)
         return PosteriorSummary(mean=mean, cov=cov)
 
-    def mahalanobis(self, window: TimeSeriesWindow,
-                    train: TimeSeriesWindow | None = None) -> float:
-        # Diagonal predictive covariance; skip the generic factorization.
+    def mahalanobis(self, window: TimeSeriesWindow) -> float:
+        # Diagonal covariance; skip the generic factorization.
         self._check_window(window)
         resid = (window.outputs - self.params.mean) / self.params.noise_std
         return float(np.sqrt(np.sum(resid**2)))
@@ -458,8 +474,7 @@ class IidGaussianModel(ObservationModel):
 class GaussianProcessModel(ObservationModel):
     """GP regression with a shared kernel over independent channels.
 
-    The RBF kernel is ``output_scale^2 * exp(-|x - x'|^2 / (2 l^2))``; the
-    Dirac-delta kernel is the indicator ``1[x == x']`` and ignores both
+    The kernel is ``gram``'s RBF or Dirac delta; the Dirac delta ignores
     ``lengthscale`` and ``output_scale``. Observation noise ``noise_std``
     is added on the diagonal, and all predictive covariances are for the
     noisy outputs.
@@ -471,15 +486,15 @@ class GaussianProcessModel(ObservationModel):
     ``_GRAD_TOL``. The ``fix_*`` flags choose at construction which
     hyperparameters are fitted; ``fitted`` names them in gradient order.
 
-    ``gram_factor``, when given, is a ``UniformGramFactor`` shared with the
-    detector's other models; it is kept only when no hyperparameter is
-    fitted. A fit that uses it keeps ``prefix`` and ``suffix``.
+    Every log-likelihood, optimal mean and marginal distance is read from
+    the forward ``PrefixSums`` of one whitening. A model that fits no
+    hyperparameter owns a ``UniformGramFactor`` (``gram_factor``, else
+    ``None``); a fit that uses it keeps ``prefix`` and ``suffix``.
     """
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 3,
                  fix_noise: bool = False, fix_kernel: bool = False,
-                 fix_output_scale: bool = False, max_fit_iters: int = 50,
-                 gram_factor: UniformGramFactor | None = None):
+                 fix_output_scale: bool = False, max_fit_iters: int = 50):
         if prior_params.kernel is None:
             raise ValueError("GaussianProcessModel requires a kernel kind")
         _linalg()
@@ -490,62 +505,42 @@ class GaussianProcessModel(ObservationModel):
             ("output_scale", learn_kernel and not fix_output_scale),
             ("noise_std", not fix_noise)) if on)
         self.max_fit_iters = int(max_fit_iters)
-        self.gram_factor = None if self.fitted else gram_factor
+        self.gram_factor = None if self.fitted else UniformGramFactor()
 
-    # -- kernel -------------------------------------------------------------
+    # -- factor and sums -----------------------------------------------------
 
-    def _sqdist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sum(diff**2, axis=-1)
-
-    def _gram(self, a: np.ndarray, b: np.ndarray | None = None,
-              params: ModelParams | None = None) -> np.ndarray:
-        p = params or self.params
-        bb = a if b is None else b
-        if p.kernel == Kernel.DIRAC_DELTA:
-            return (self._sqdist(a, bb) == 0.0).astype(float)
-        sq = self._sqdist(a, bb)
-        return p.output_scale**2 * np.exp(-0.5 * sq / p.lengthscale**2)
-
-    def _noisy_gram(self, x: np.ndarray, params: ModelParams | None = None) -> np.ndarray:
-        p = params or self.params
-        k = self._gram(x, params=p)
-        return k + p.noise_std**2 * np.eye(len(x))
-
-    def _shared_chol(self, x: np.ndarray, params: ModelParams) -> np.ndarray | None:
-        """The shared grid factor's block for ``x``, or None where it does not apply."""
+    def _grid_chol(self, x: np.ndarray, params: ModelParams) -> np.ndarray | None:
+        """The grid factor's block for ``x``, or None where it does not apply."""
         if self.gram_factor is None:
             return None
-        return self.gram_factor.leading(x, params, self._gram)
+        return self.gram_factor.leading(x, params)
 
     def _chol(self, x: np.ndarray, params: ModelParams) -> np.ndarray:
         """Lower Cholesky factor of the noisy Gram on ``x``."""
-        lower = self._shared_chol(x, params)
-        return chol_with_jitter(self._noisy_gram(x, params)) if lower is None else lower
+        lower = self._grid_chol(x, params)
+        return chol_with_jitter(noisy_gram(x, params)) if lower is None else lower
 
-    # -- likelihood ----------------------------------------------------------
+    def _sums(self, window: TimeSeriesWindow) -> PrefixSums:
+        """Forward sums of ``window`` under the fitted kernel and noise."""
+        self._check_window(window)
+        return PrefixSums.whiten(window, self._chol(window.inputs, self.params),
+                                 backward=False)[0]
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
-        self._check_window(window)
-        return self._log_likelihood_chol(window, self.params,
-                                         self._chol(window.inputs, self.params))
+        return self._sums(window).log_likelihood(len(window), self.params.mean)
 
-    def _log_likelihood_chol(self, window: TimeSeriesWindow, params: ModelParams,
-                             chol_lower: np.ndarray) -> float:
-        total = 0.0
-        for c in range(self.channel_count):
-            resid = window.outputs[:, c] - params.mean[c]
-            total += _mvn_logpdf_chol(resid, chol_lower)
-        return float(total)
+    def mahalanobis(self, window: TimeSeriesWindow) -> float:
+        return self._sums(window).mahalanobis(len(window), self.params.mean)
 
     # -- fitting -------------------------------------------------------------
 
-    def _grad_dmats(self, sq: np.ndarray, params: ModelParams) -> list[np.ndarray]:
+    def _grad_dmats(self, x: np.ndarray, sq: np.ndarray,
+                    params: ModelParams) -> list[np.ndarray]:
         """Noisy-Gram derivatives in the ``fitted`` log-parameters, given the
-        squared input distances ``sq``."""
+        inputs ``x`` and their squared distances ``sq``."""
         out = []
         if "lengthscale" in self.fitted:
-            ks = params.output_scale**2 * np.exp(-0.5 * sq / params.lengthscale**2)
+            ks = gram(x, x, params)
             out.append(ks * (sq / params.lengthscale**2))
             if "output_scale" in self.fitted:
                 out.append(2.0 * ks)
@@ -553,24 +548,15 @@ class GaussianProcessModel(ObservationModel):
             out.append(2.0 * params.noise_std**2 * np.eye(len(sq)))
         return out
 
-    def _fit_mean(self, window: TimeSeriesWindow, params: ModelParams) -> np.ndarray:
-        """Set the means to their exact optimum; returns the Gram factor."""
-        y = window.outputs
-        chol_lower = self._chol(window.inputs, params)
-        z_one = _linalg().solve_triangular(chol_lower, np.ones(len(y)), lower=True)
-        denom = z_one @ z_one
-        params.mean = np.array([
-            float(z_one @ _linalg().solve_triangular(chol_lower, y[:, c], lower=True) / denom)
-            for c in range(self.channel_count)
-        ])
-        return chol_lower
-
     def _objective(self, window: TimeSeriesWindow,
                    params: ModelParams) -> tuple[float, np.ndarray]:
         """Marginal log-likelihood, with the means set to their exact optimum,
         and the Gram factor it used."""
-        chol_lower = self._fit_mean(window, params)
-        return self._log_likelihood_chol(window, params, chol_lower), chol_lower
+        chol_lower = self._chol(window.inputs, params)
+        sums, _ = PrefixSums.whiten(window, chol_lower, backward=False)
+        n = len(window)
+        params.mean = sums.mean(n)
+        return sums.log_likelihood(n, params.mean), chol_lower
 
     def _gradient(self, window: TimeSeriesWindow, params: ModelParams,
                   chol_lower: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -580,7 +566,7 @@ class GaussianProcessModel(ObservationModel):
         kinv = _linalg().cho_solve((chol_lower, True), np.eye(len(y)))
         alphas = [kinv @ (y[:, c] - params.mean[c]) for c in range(self.channel_count)]
         grad = []
-        for dmat in self._grad_dmats(sq, params):
+        for dmat in self._grad_dmats(window.inputs, sq, params):
             quad = sum(a @ dmat @ a for a in alphas)
             trace = float(np.sum(kinv * dmat))  # dmat symmetric
             grad.append(0.5 * quad - 0.5 * self.channel_count * trace)
@@ -593,16 +579,16 @@ class GaussianProcessModel(ObservationModel):
 
         if not self.fitted:
             # Fixed kernel and noise: the means are the whole fit.
-            lower = self._shared_chol(window.inputs, params)
+            self.prefix = self.suffix = None
+            lower = self._grid_chol(window.inputs, params)
             if lower is None:
-                self.prefix = self.suffix = None
-                self._fit_mean(window, params)
+                self._objective(window, params)
             else:
                 self.prefix, self.suffix = PrefixSums.whiten(window, lower)
                 params.mean = self.prefix.mean(len(window))
             self.params = params
             return self
-        sq = self._sqdist(window.inputs, window.inputs)
+        sq = _sqdist(window.inputs, window.inputs)
         objective, chol_lower = self._objective(window, params)
         step = 0.25  # step length in log-parameter units
         for _ in range(self.max_fit_iters):
@@ -644,12 +630,12 @@ class GaussianProcessModel(ObservationModel):
         """Per-channel predictive means ``(n_q, C)`` and the shared covariance."""
         p = self.params
         if train is None:
-            return np.broadcast_to(p.mean, (len(q), self.channel_count)), self._noisy_gram(q)
+            return np.broadcast_to(p.mean, (len(q), self.channel_count)), noisy_gram(q, p)
         self._check_window(train)
-        k_tq = self._gram(train.inputs, q)
-        chol_lower = chol_with_jitter(self._noisy_gram(train.inputs))
+        k_tq = gram(train.inputs, q, p)
+        chol_lower = chol_with_jitter(noisy_gram(train.inputs, p))
         solved = _linalg().cho_solve((chol_lower, True), k_tq)
-        cov = self._gram(q) - k_tq.T @ solved + p.noise_std**2 * np.eye(len(q))
+        cov = gram(q, q, p) - k_tq.T @ solved + p.noise_std**2 * np.eye(len(q))
         cov = 0.5 * (cov + cov.T)
         return p.mean + solved.T @ (train.outputs - p.mean), cov
 
@@ -661,18 +647,3 @@ class GaussianProcessModel(ObservationModel):
         if self.channel_count > 1:
             cov = _linalg().block_diag(*[cov] * self.channel_count)
         return PosteriorSummary(mean=_flatten_channel_major(means), cov=cov)
-
-    def mahalanobis(self, window: TimeSeriesWindow,
-                    train: TimeSeriesWindow | None = None) -> float:
-        # Channels share one covariance block: factor it once and sum the
-        # per-channel squared distances.
-        self._check_window(window)
-        if train is None:
-            chol_lower = self._chol(window.inputs, self.params)
-            resid = window.outputs - self.params.mean
-        else:
-            means, cov = self._predictive(window.inputs, train)
-            chol_lower = chol_with_jitter(cov)
-            resid = window.outputs - means
-        z = _linalg().solve_triangular(chol_lower, resid, lower=True)
-        return float(np.sqrt(np.sum(z * z)))

@@ -1,9 +1,29 @@
 """Shared generators and oracle helpers for the test suite."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import gocpd
 from gocpd.models import IidGaussianModel, ModelParams
 from gocpd.window import TimeSeriesWindow
+
+SRC = str(Path(gocpd.__file__).resolve().parents[1])
+
+
+def run_python(code: str, tmp_path) -> dict:
+    """Run ``code`` in a fresh interpreter with ``src`` importable; return
+    the JSON object on the last line it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def fixed_iid(noise=0.001, min_fit=3, mean=0.0):

@@ -348,8 +348,9 @@ def test_fixed_gp_nan_raises_at_its_step():
 
 
 def test_fixed_gp_shared_factor_matches_dense_detector():
-    # One shared factor for m0, m1 and m2, across a detection reset; the
-    # dense detector has the factor switched off.
+    # Every split and both distances are read from m0's sums, across a
+    # detection reset, so only m0's own grid factor grows; the dense
+    # detector has every factor switched off.
     rng = np.random.default_rng(3)
     y = np.concatenate([rng.normal(0, 0.1, 50), rng.normal(1, 0.1, 70),
                         rng.normal(0, 0.1, 80)])
@@ -360,15 +361,21 @@ def test_fixed_gp_shared_factor_matches_dense_detector():
     fast, dense = Detector(cfg), Detector(cfg)
     for model in (dense.m0, dense.m1, dense.m2):
         model.gram_factor = None
-    assert fast.m0.gram_factor is fast.m1.gram_factor is fast.m2.gram_factor
+    factors = [model.gram_factor for model in (fast.m0, fast.m1, fast.m2)]
+    assert len({id(factor) for factor in factors}) == 3  # each model owns one
     split_fits = []  # every split is scored from m0's sums, never by fitting
     fast.m1.fit = fast.m2.fit = split_fits.append
     for batch in stream_batches(window, 1):
-        fast.step(batch)
-        dense.step(batch)
+        for det in (fast, dense):
+            det.step(batch)
+            # The window always starts at the last change, so the criterion
+            # may read its left distance from m0's forward sums.
+            assert det.window.start_index == det.last_change
     assert [e.change_point for e in fast.events] == [e.change_point for e in dense.events]
     assert len(fast.events) >= 2
+    assert [model.gram_factor for model in (fast.m0, fast.m1, fast.m2)] == factors
     assert fast.m0.gram_factor.size > 0 and split_fits == []
+    assert fast.m1.gram_factor.size == fast.m2.gram_factor.size == 0
     assert fast.m0.prefix is not None and fast.m0.suffix is not None
     assert len(fast.instrumentation) == len(dense.instrumentation)
     for got, want in zip(fast.instrumentation, dense.instrumentation):

@@ -4,24 +4,7 @@ Each check runs in a fresh interpreter, since the test process has long
 since imported scipy.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import gocpd
-
-SRC = str(Path(gocpd.__file__).resolve().parents[1])
-
-
-def run_python(code: str, tmp_path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+from conftest import run_python
 
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
@@ -88,6 +71,6 @@ print(json.dumps({"grid": grid, "all": counts,
 """, tmp_path)
     assert out["module"] == ["gocpd.models", "gocpd.models"]
     assert out["kept"]
-    assert out["grid"]["cholesky"] > 0  # the shared grid factor grows
+    assert out["grid"]["cholesky"] > 0  # m0's grid factor grows
     assert out["all"]["chol_with_jitter"] > 0
     assert out["all"]["cholesky"] > out["grid"]["cholesky"]

@@ -11,7 +11,7 @@ import gocpd.models as models
 from gocpd.detector import Detector, DetectorConfig, ModelSpec
 from gocpd.errors import NonPositiveDefinite, TooFewPoints
 from gocpd.models import (GaussianProcessModel, IidGaussianModel, Kernel,
-                          ModelParams, UniformGramFactor, chol_with_jitter)
+                          ModelParams, chol_with_jitter, noisy_gram)
 from gocpd.search import SplitScorer
 from gocpd.window import TimeSeriesWindow
 
@@ -327,19 +327,22 @@ def test_mahalanobis_nonnegative_and_zero_iff_zero_residual():
 
 
 def test_multichannel_mahalanobis_matches_block_diagonal_oracle():
+    # The marginal distance against the block-diagonal covariance of
+    # posterior(q), for a learned model (dense factor) and a fixed one
+    # (grid factor).
     rng = np.random.default_rng(15)
     x = np.arange(10.0)
     y = rng.normal(size=(10, 3))
-    m = GaussianProcessModel(ModelParams(mean=[0.1, -0.2, 0.4], noise_std=0.3,
-                                         lengthscale=1.5, output_scale=0.8,
-                                         kernel=Kernel.RBF))
+    params = ModelParams(mean=[0.1, -0.2, 0.4], noise_std=0.3, lengthscale=1.5,
+                         output_scale=0.8, kernel=Kernel.RBF)
     query = TimeSeriesWindow(x[6:], y[6:], start_index=6)
-    for train in (None, TimeSeriesWindow(x[:6], y[:6])):
-        post = m.posterior(query.inputs, train=train)  # block_diag covariance
+    for m in (GaussianProcessModel(params),
+              GaussianProcessModel(params, fix_kernel=True, fix_noise=True)):
+        post = m.posterior(query.inputs)  # block_diag covariance
         resid = query.outputs.T.reshape(-1) - post.mean
         z = solve_triangular(chol_with_jitter(post.cov), resid, lower=True)
-        assert m.mahalanobis(query, train=train) == pytest.approx(
-            math.sqrt(z @ z), rel=1e-10)
+        assert m.mahalanobis(query) == pytest.approx(math.sqrt(z @ z), rel=1e-10)
+    assert m.gram_factor.size == len(query)
 
 
 # -- modified mahalanobis -----------------------------------------------------
@@ -395,16 +398,19 @@ def test_params_validation():
         ModelParams(mean=[0.0], noise_std=1.0, lengthscale=-1.0)
 
 
-# -- shared grid factor (fast path) vs the dense oracle ----------------------------
+# -- grid factor (fast path) vs the dense oracle ------------------------------------
 
-def fixed_gp(kernel=Kernel.RBF, channels=1, gram_factor=None, noise=0.3,
-             lengthscale=2.0, output_scale=0.9, **kw):
+def fixed_gp(kernel=Kernel.RBF, channels=1, noise=0.3, lengthscale=2.0,
+             output_scale=0.9, dense=False, **kw):
+    """A fixed-hyperparameter GP; ``dense`` switches its grid factor off."""
     settings = dict(fix_kernel=True, fix_noise=True)
     settings.update(kw)
-    return GaussianProcessModel(
+    model = GaussianProcessModel(
         ModelParams(mean=[0.0] * channels, noise_std=noise, lengthscale=lengthscale,
-                    output_scale=output_scale, kernel=kernel),
-        gram_factor=gram_factor, **settings)
+                    output_scale=output_scale, kernel=kernel), **settings)
+    if dense:
+        model.gram_factor = None
+    return model
 
 
 def grid_window(n, channels, seed, dx=1.0, x0=0.0, start=0):
@@ -430,9 +436,9 @@ def assert_models_agree(fast, dense, segment, rel):
 @pytest.mark.parametrize("channels", [1, 3])
 def test_grid_factor_matches_dense_on_random_segments(kernel, channels):
     rng = np.random.default_rng(20)
-    factor = UniformGramFactor()
-    fast = fixed_gp(kernel, channels, gram_factor=factor)
-    dense = fixed_gp(kernel, channels)
+    fast = fixed_gp(kernel, channels)
+    dense = fixed_gp(kernel, channels, dense=True)
+    factor = fast.gram_factor
     full = grid_window(160, channels, seed=21, dx=0.5, x0=3.0)
     segments = []
     for _ in range(25):
@@ -453,21 +459,22 @@ def test_grid_factor_unused_on_nonuniform_inputs_or_learned_hyperparameters():
     rng = np.random.default_rng(22)
     x = np.sort(rng.uniform(0, 40, size=40))
     nonuniform = TimeSeriesWindow(x, rng.normal(size=(40, 3)))
-    factor = UniformGramFactor()
-    fast = fixed_gp(channels=3, gram_factor=factor)
-    assert_models_agree(fast, fixed_gp(channels=3), nonuniform, rel=0)
+    fast = fixed_gp(channels=3)
+    factor = fast.gram_factor
+    assert_models_agree(fast, fixed_gp(channels=3, dense=True), nonuniform, rel=0)
     assert factor.size == 0 and fast.prefix is None and fast.suffix is None
     # A grid off by 1e-9 is not rounding: it takes the dense path too.
     jittered = TimeSeriesWindow(np.arange(40) + 1e-9 * rng.normal(size=40),
                                 rng.normal(size=(40, 3)))
-    assert_models_agree(fast, fixed_gp(channels=3), jittered, rel=0)
+    assert_models_agree(fast, fixed_gp(channels=3, dense=True), jittered, rel=0)
     assert factor.size == 0 and fast.prefix is None and fast.suffix is None
 
     uniform = grid_window(40, 1, seed=23)
     learned = dict(fix_kernel=False, fix_noise=False, max_fit_iters=5)
-    fast = fixed_gp(gram_factor=factor, **learned)
-    assert_models_agree(fast, fixed_gp(**learned), uniform, rel=0)
-    assert factor.size == 0 and fast.prefix is None and fast.suffix is None
+    fast = fixed_gp(**learned)
+    assert fast.gram_factor is None  # a learned model owns no grid factor
+    assert_models_agree(fast, fixed_gp(dense=True, **learned), uniform, rel=0)
+    assert fast.prefix is None and fast.suffix is None
 
 
 def test_grid_factor_growth_failure_falls_back_to_jitter():
@@ -476,28 +483,27 @@ def test_grid_factor_growth_failure_falls_back_to_jitter():
     # jitter.
     settings = dict(noise=1e-8, lengthscale=20.0, output_scale=1.0)
     segment = grid_window(40, 1, seed=24)
-    gram = fixed_gp(**settings)._noisy_gram(segment.inputs)
+    fast, dense = fixed_gp(**settings), fixed_gp(dense=True, **settings)
+    factor = fast.gram_factor
     with pytest.raises(np.linalg.LinAlgError):
-        cholesky(gram, lower=True)
-    factor = UniformGramFactor()
-    fast = fixed_gp(gram_factor=factor, **settings)
-    assert_models_agree(fast, fixed_gp(**settings), segment, rel=0)
+        cholesky(noisy_gram(segment.inputs, fast.params), lower=True)
+    assert_models_agree(fast, dense, segment, rel=0)
     assert factor.limit is not None and factor.size < len(segment)
     assert fast.prefix is None and fast.suffix is None  # no whitening either
     # Beyond the failed size the factor is never grown again.
     limit = factor.limit
-    assert_models_agree(fast, fixed_gp(**settings), grid_window(45, 1, seed=25), rel=0)
+    assert_models_agree(fast, dense, grid_window(45, 1, seed=25), rel=0)
     assert factor.limit == limit
 
 
 # -- prefix sums (one whitening per window) vs slice + fit -------------------------
 
-def fixed_gp_detector(kernel, lengthscale, channels, shared):
+def fixed_gp_detector(kernel, lengthscale, channels, grid):
     det = Detector(DetectorConfig(model=ModelSpec(
         family="gp", kernel=kernel.value, lengthscale=lengthscale, output_scale=0.9,
         noise_std=0.3, channels=channels, fix_kernel=True, fix_output_scale=True,
         fix_noise=True)))
-    if not shared:
+    if not grid:
         for model in (det.m0, det.m1, det.m2):
             model.gram_factor = None
     return det
@@ -516,11 +522,11 @@ def fail_if_called(*args, **kwargs):
 @pytest.mark.parametrize("level", [0.0, 1e3])
 def test_prefix_sums_match_slice_and_fit(kernel, lengthscale, channels, level):
     # The oracle slices each segment and fits and scores it with a dense
-    # factorization; the shared-factor detector whitens the window once,
+    # factorization; the grid-factor detector whitens the window once,
     # forwards for the left segments and backwards for the right ones.
     close = dict(rel=1e-9, abs=0)
-    fast = fixed_gp_detector(kernel, lengthscale, channels, shared=True)
-    dense = fixed_gp_detector(kernel, lengthscale, channels, shared=False)
+    fast = fixed_gp_detector(kernel, lengthscale, channels, grid=True)
+    dense = fixed_gp_detector(kernel, lengthscale, channels, grid=False)
     full = grid_window(100, channels, seed=30, dx=0.5, x0=3.0)
     full = TimeSeriesWindow(full.inputs, full.outputs + level)
     fast.m0.fit(full)  # the factor grows past the window below
@@ -578,7 +584,7 @@ def test_prefix_sums_do_not_depend_on_the_output_level(kernel, lengthscale):
     scores = []
     for level in (0.0, 1e3):
         window = TimeSeriesWindow(base.inputs, base.outputs + level, start_index=37)
-        det = fixed_gp_detector(kernel, lengthscale, 1, shared=True)
+        det = fixed_gp_detector(kernel, lengthscale, 1, grid=True)
         det.window, det.last_change = window, 37
         det.m0.fit(window)
         sums, back = det.m0.prefix, det.m0.suffix
@@ -593,10 +599,10 @@ def test_grid_factor_serves_rounded_spacing_at_any_offset(offset):
     # On x = 0.1 * t, x[k] - x[0] differs from k * 0.1 in the last bits, and
     # each window's own x[1] - x[0] differs from the spacing the factor was
     # bound to; at t = 20000 the rounding of x alone is 2e-12 of the
-    # spacing. Those windows must still take the shared factor.
+    # spacing. Those windows must still take the grid factor.
     close = dict(rel=1e-9, abs=0)
-    factor = UniformGramFactor()
-    fast, dense = fixed_gp(gram_factor=factor), fixed_gp()
+    fast, dense = fixed_gp(), fixed_gp(dense=True)
+    factor = fast.gram_factor
     t = np.arange(offset + 80)
     y = np.random.default_rng(31).normal(size=len(t)) + (t >= offset + 30)
     full = TimeSeriesWindow(0.1 * t, y)

@@ -1,7 +1,8 @@
-"""Seed 0 of the gated perfbench workloads against the recorded references.
+"""Seed 0 of perfbench workloads against the recorded references.
 
-The streams come from ``perfbench/workloads.py`` and are replayed through
-``run_stream``. The events must equal the recorded ones exactly, and the
+Both gated workloads replay in full, and ``gp_rbf_learned`` replays its
+first stream. The streams come from ``perfbench/workloads.py`` and are
+replayed through ``run_stream``. The events must equal the recorded ones exactly, and the
 search fingerprint must match by ``perfbench/run.py``'s own comparison, so a
 change that moves a single candidate fails here as well as in perfbench.
 This file only reads ``perfbench/``.
@@ -23,13 +24,24 @@ from run import same_fingerprint  # noqa: E402
 from workloads import WORKLOADS, streams  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["iid_mean_changes", "gp_rbf_fixed"])
-def test_seed_zero_replays_to_the_recorded_reference(workload):
+def assert_replays(workload: str, count: int | None = None) -> None:
+    """Replay the first ``count`` streams of seed 0 (all when None)."""
     reference = json.loads((PERFBENCH / "references.json").read_text())[workload]["0"]
     config = DetectorConfig.from_dict(WORKLOADS[workload]["config"])
-    replayed = [run_stream(window, config) for window, _ in streams(workload, 0)]
-    assert len(replayed) == len(reference["events"])
+    replayed = [run_stream(window, config) for window, _ in streams(workload, 0)[:count]]
+    assert len(replayed) == len(reference["events"][:count])
     for i, (events, records) in enumerate(replayed):
         assert [[e.change_point, e.declared_at] for e in events] == reference["events"][i]
         got = fingerprint(records)
         assert same_fingerprint(got, reference["fingerprints"][i]), (i, got)
+
+
+@pytest.mark.parametrize("workload", ["iid_mean_changes", "gp_rbf_fixed"])
+def test_seed_zero_replays_to_the_recorded_reference(workload):
+    assert_replays(workload)
+
+
+def test_learned_gp_stream_zero_replays_to_the_recorded_reference():
+    # The learned-hyperparameter path fits every split with a dense factor;
+    # its first stream alone takes a few seconds.
+    assert_replays("gp_rbf_learned", count=1)
