@@ -35,14 +35,13 @@ import numpy as np
 from .errors import ConfigError, NonContiguousBatch, NonPositiveDefinite, TooFewPoints
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel)
-from .search import SplitScorer, effective_interval, ternary_argmax
+from .search import SplitScorer, ternary_argmax
 from .window import TimeSeriesWindow, require_finite
 
 logger = logging.getLogger("gocpd.detector")
 
-# The search fields of an iteration record for a step that ran no search.
-_NOT_SEARCHED = {"searched": False, "domain_size": 0, "evals": 0, "criterion": None,
-                 "stable": None, "distance_left": None, "distance_right": None}
+# The result of ``_search_and_test`` for a step that ran no search.
+_NOT_SEARCHED = (0, 0, None, None, None, None, None)
 
 
 @dataclass
@@ -236,15 +235,16 @@ class Detector:
             self.window = self.window.extend(batch)
         t = self.window.end_index
 
-        search, event, error = _NOT_SEARCHED, None, None
+        search, error = _NOT_SEARCHED, None
         if self.wait_remaining > 0:
             self.wait_remaining = max(0, self.wait_remaining - len(batch))
         elif t - self.last_change >= self.config.t_ini:
             try:
-                search, event = self._search_and_test(t)
+                search = self._search_and_test(t)
             except (NonPositiveDefinite, TooFewPoints) as exc:
                 logger.warning("degraded step at t=%d: %s", t, exc)
                 error = str(exc)
+        domain_size, evals, satisfied, stable, d_left, d_right, event = search
         self.instrumentation.append({
             "kind": "iteration",
             "t": t,
@@ -253,7 +253,9 @@ class Detector:
             "candidate": self.candidate,
             "score": self.candidate_score,
             "k": self.k,
-            **search,
+            "searched": domain_size > 0, "domain_size": domain_size, "evals": evals,
+            "criterion": satisfied, "stable": stable,
+            "distance_left": d_left, "distance_right": d_right,
             "elapsed_s": time.perf_counter() - started,
             "error": error,
         })
@@ -262,18 +264,21 @@ class Detector:
             self._reset_after_detection(event.change_point, t)
         return event
 
-    def _search_and_test(self, t: int) -> tuple[dict, DetectionEvent | None]:
-        """Search, test and update ``k``; return the record's search fields
-        and the event, if any. Whatever can raise runs before state changes."""
+    def _search_and_test(self, t: int) -> tuple:
+        """Search, test and update ``k``; return the domain size, evaluations,
+        criterion, stability, both distances and the event, if any. Whatever
+        can raise runs before state changes."""
         cfg = self.config
         self.m0.fit(self.window)
         prev = self.last_change if self.candidate is None else self.candidate
-        domain = effective_interval(t, self.last_change, prev, cfg.model.min_fit_points)
-        if len(domain) == 0:
-            return _NOT_SEARCHED, None
+        # effective_interval's bounds, in place: no call and no range per step.
+        lo = max(prev, self.last_change + cfg.model.min_fit_points)
+        hi = t - cfg.model.min_fit_points
+        if hi < lo:
+            return _NOT_SEARCHED
 
         scorer = SplitScorer(self.window, self.m1, self.m2, self.m0.prefix, self.m0.suffix)
-        tau = ternary_argmax(scorer.evaluate, domain[0], domain[-1], prev, cfg.search_tol)
+        tau = ternary_argmax(scorer.evaluate, lo, hi, prev, cfg.search_tol)
         satisfied, d_left, d_right = self.criterion(tau)
         stable = (self.candidate is not None and abs(tau - prev) <= cfg.search_tol
                   and (self.anchor is None or abs(tau - self.anchor) <= cfg.search_tol))
@@ -285,13 +290,9 @@ class Detector:
             self.k = 0
             self.anchor = None
         self.candidate, self.candidate_score = tau, scorer.cache[tau]
-
-        search = {"searched": True, "domain_size": len(domain), "evals": len(scorer.cache),
-                  "criterion": satisfied, "stable": stable,
-                  "distance_left": d_left, "distance_right": d_right}
-        if self.k > cfg.k_max:
-            return search, DetectionEvent(tau, t, self.candidate_score, d_left, d_right)
-        return search, None
+        event = (DetectionEvent(tau, t, self.candidate_score, d_left, d_right)
+                 if self.k > cfg.k_max else None)
+        return hi - lo + 1, len(scorer.cache), satisfied, stable, d_left, d_right, event
 
     def criterion(self, candidate: int) -> tuple[bool, float, float]:
         """Two-segment acceptance test against the single-model fit.

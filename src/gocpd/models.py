@@ -52,7 +52,8 @@ backwards have the same Gram ``K_r`` and the same ``log det``, and their
 innovations are the first ``r`` innovations of the reversed window under
 the same leading factor. ``fit`` whitens ``[1, y - y[0], rev(y) - y[-1]]``
 in one solve and keeps the forward sums as ``prefix`` and the backward
-ones as ``suffix``.
+ones as ``suffix``, each with the score of every segment it covers in a
+table (``PrefixSums.scores``), as in Truong, Oudre & Vayatis (2020).
 
 Only the GP family needs scipy: ``scipy.linalg`` is imported when the
 first GP model is built, so a process with IID models alone never loads it.
@@ -288,6 +289,9 @@ class PrefixSums:
     output row ``ref`` bounds the ``syy - s1y^2 / s11`` cancellation by the
     spread of the outputs, not by their level. Sums of the reversed window
     (``ref = y[-1]``) score its last ``m`` points in the same way.
+
+    A backward whitening tabulates ``scores[m] = log_likelihood(m, mean(m)) / m``,
+    the average log-likelihood at the segment's own means; ``scores[0]`` is NaN.
     """
 
     window: TimeSeriesWindow
@@ -296,6 +300,7 @@ class PrefixSums:
     logdet: np.ndarray
     s1y: np.ndarray
     syy: np.ndarray
+    scores: list[float] | None = None
 
     @classmethod
     def whiten(cls, window: TimeSeriesWindow, chol_lower: np.ndarray,
@@ -315,10 +320,17 @@ class PrefixSums:
         sums = np.vstack([np.zeros(terms.shape[1]), np.cumsum(terms, axis=0)])
         s11, logdet, c, k = sums[:, 0], sums[:, 1], y.shape[1], z.shape[1] - 1
         s1y, syy = sums[:, 2:2 + k], sums[:, 2 + k:]
-        forward = cls(window, y[0], s11, logdet, s1y[:, :c], syy[:, :c])
         if not backward:
-            return forward, None
-        return forward, cls(window, y[-1], s11, logdet, s1y[:, c:], syy[:, c:])
+            return cls(window, y[0], s11, logdet, s1y, syy), None
+        # Both tables at once, in the order of operations of mean() and log_likelihood().
+        ref, a, g = np.hstack([y[0], y[-1]]), s1y[1:], s11[1:, None]
+        m = np.arange(1, len(y) + 1)[:, None]
+        shift = (ref + a / g) - ref
+        quad = (syy[1:] - 2.0 * shift * a + shift**2 * g).reshape(-1, 2, c).sum(axis=2)
+        scores = [[math.nan] + col for col in
+                  (-0.5 * (quad + c * (logdet[1:, None] + m * LOG_2PI)) / m).T.tolist()]
+        return (cls(window, y[0], s11, logdet, s1y[:, :c], syy[:, :c], scores[0]),
+                cls(window, y[-1], s11, logdet, s1y[:, c:], syy[:, c:], scores[1]))
 
     def mean(self, m: int) -> np.ndarray:
         """Maximum-likelihood per-channel means of the first ``m`` points."""
@@ -339,10 +351,6 @@ class PrefixSums:
     def modified_mahalanobis(self, m: int, mean: np.ndarray) -> float:
         """Modified Mahalanobis distance of the first ``m`` points from ``mean``."""
         return _length_corrected(self.mahalanobis(m, mean), m)
-
-    def segment_score(self, m: int) -> float:
-        """Average log-likelihood of the first ``m`` points at their own means."""
-        return self.log_likelihood(m, self.mean(m)) / m
 
 
 class ObservationModel:

@@ -1,8 +1,9 @@
 """Candidate change point search primitives.
 
 This module holds the pieces; ``Detector._search_and_test`` is the one
-place that composes them (``effective_interval``, then a ``SplitScorer``,
-then ``ternary_argmax``), and ``Detector`` keeps the saved candidate.
+place that composes them (``effective_interval``'s bounds, then a
+``SplitScorer``, then ``ternary_argmax``), and ``Detector`` keeps the
+saved candidate.
 
 The split metric for a window spanning ``[start, t]`` and a split point
 ``tau`` is the sum of the averaged log-likelihoods of two models fitted on
@@ -52,12 +53,12 @@ class SplitScorer:
 
     ``prefix`` and ``suffix``, when given, hold the forward and backward
     ``PrefixSums`` of ``window`` under the models' fixed hyperparameters:
-    each split is then scored from them on both sides, with no slice and no
-    fit. Otherwise each evaluation fits both models, warm-starting from the
-    nearest previously evaluated split of this iteration (or, for the first
-    evaluation, from the models' current parameters); ``fits`` keeps those
-    parameters. Fits never write to the parameters they start from, so they
-    are handed back by reference.
+    a split then reads one entry of each one's ``scores``, with no slice,
+    fit or array arithmetic. Otherwise each evaluation fits both models,
+    warm-starting from the nearest previously evaluated split of this
+    iteration (or, for the first evaluation, from the models' current
+    parameters); ``fits`` keeps those parameters. Fits never write to the
+    parameters they start from, so they are handed back by reference.
     """
 
     def __init__(self, window: TimeSeriesWindow, left_model: ObservationModel,
@@ -93,7 +94,7 @@ class SplitScorer:
             m, r = tau - win.start_index, win.end_index - tau + 1
             if m < self.left_model.min_fit_points or r < self.right_model.min_fit_points:
                 raise TooFewPoints(f"split {tau} leaves a segment below the fitting minimum")
-            value = float(self.prefix.segment_score(m) + self.suffix.segment_score(r))
+            value = self.prefix.scores[m] + self.suffix.scores[r]
         self.cache[tau] = value
         return value
 

@@ -11,6 +11,7 @@ from gocpd.datagen import step_example
 from gocpd.detector import (Detector, DetectorConfig, ModelSpec,
                             grid_search_thresholds, run_stream, stream_batches)
 from gocpd.errors import ConfigError, NonContiguousBatch, NonFiniteObservation
+from gocpd.search import effective_interval
 from gocpd.window import TimeSeriesWindow
 
 
@@ -468,6 +469,11 @@ def test_replay_properties_on_random_mean_shift_streams(seed, batch_size):
     for rec in records:
         if rec["candidate"] is not None and prev is not None:
             assert rec["candidate"] >= prev
+        if rec["searched"]:  # the detector searches effective_interval's domain
+            last_change = rec["t"] - rec["interval"]
+            domain = effective_interval(rec["t"], last_change,
+                                        last_change if prev is None else prev, 3)
+            assert rec["domain_size"] == len(domain)
         prev = None if rec["t"] in declared else rec["candidate"]
 
     searched = [r for r in records if r["searched"]]

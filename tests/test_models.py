@@ -11,8 +11,8 @@ import gocpd.models as models
 from gocpd.detector import Detector, DetectorConfig, ModelSpec
 from gocpd.errors import NonPositiveDefinite, TooFewPoints
 from gocpd.models import (GaussianProcessModel, IidGaussianModel, Kernel,
-                          ModelParams, chol_with_jitter, noisy_gram)
-from gocpd.search import SplitScorer
+                          ModelParams, PrefixSums, chol_with_jitter, noisy_gram)
+from gocpd.search import SplitScorer, ternary_argmax
 from gocpd.window import TimeSeriesWindow
 
 LOG_2PI = math.log(2 * math.pi)
@@ -517,45 +517,79 @@ def fail_if_called(*args, **kwargs):
     raise AssertionError("called on the fixed-hyperparameter sums path")
 
 
+def scalar_segment_score(sums, m):
+    """The score of the first ``m`` points as ``PrefixSums`` computed it one
+    split at a time, before the scores were tabulated."""
+    return sums.log_likelihood(m, sums.mean(m)) / m
+
+
+def reset_window(channels, level, det):
+    """A window that starts at a change point, with ``det``'s grid factor
+    grown past it and ``det.m0`` fitted on it."""
+    full = grid_window(100, channels, seed=30, dx=0.5, x0=3.0)
+    full = TimeSeriesWindow(full.inputs, full.outputs + level)
+    det.m0.fit(full)
+    window = full.slice(37, 99)
+    det.window, det.last_change = window, window.start_index
+    det.m0.fit(window)
+    return full, window
+
+
 @pytest.mark.parametrize("kernel, lengthscale", PREFIX_KERNELS)
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("level", [0.0, 1e3])
-def test_prefix_sums_match_slice_and_fit(kernel, lengthscale, channels, level):
+def test_score_tables_equal_the_scalar_formula(kernel, lengthscale, channels, level):
+    # The table repeats the scalar formula's operations in the same order,
+    # so every entry is the same double, not merely a close one.
+    det = fixed_gp_detector(kernel, lengthscale, channels, grid=True)
+    _, window = reset_window(channels, level, det)
+    n = len(window)
+    for sums in (det.m0.prefix, det.m0.suffix):
+        assert len(sums.scores) == n + 1 and math.isnan(sums.scores[0])
+        assert sums.scores[1:] == [scalar_segment_score(sums, m) for m in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("kernel, lengthscale", PREFIX_KERNELS)
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("level", [0.0, 1e3])
+def test_prefix_sums_match_slice_and_fit(kernel, lengthscale, channels, level, monkeypatch):
     # The oracle slices each segment and fits and scores it with a dense
     # factorization; the grid-factor detector whitens the window once,
-    # forwards for the left segments and backwards for the right ones.
+    # forwards for the left segments and backwards for the right ones, and
+    # tabulates every segment's score.
     close = dict(rel=1e-9, abs=0)
     fast = fixed_gp_detector(kernel, lengthscale, channels, grid=True)
     dense = fixed_gp_detector(kernel, lengthscale, channels, grid=False)
-    full = grid_window(100, channels, seed=30, dx=0.5, x0=3.0)
-    full = TimeSeriesWindow(full.inputs, full.outputs + level)
-    fast.m0.fit(full)  # the factor grows past the window below
-    # After a reset the window starts at the change point, a nonzero offset.
-    window = full.slice(37, 99)
-    start, end = window.start_index, window.end_index
-    for det in (fast, dense):
-        det.window, det.last_change = window, start
-        det.m0.fit(window)
+    full, window = reset_window(channels, level, fast)  # a nonzero offset
+    start, end, n = window.start_index, window.end_index, len(window)
+    dense.window, dense.last_change = window, start
+    dense.m0.fit(window)
     sums, back = fast.m0.prefix, fast.m0.suffix
     assert sums.window is window and back.window is window
     assert dense.m0.prefix is None and dense.m0.suffix is None
     assert fast.m0.params.mean == pytest.approx(dense.m0.params.mean, **close)
 
-    oracle = dense.m1
-    fast.m1.fit = fast.m2.fit = fail_if_called
-    fast_scorer = SplitScorer(window, fast.m1, fast.m2, sums, back)
-    dense_scorer = SplitScorer(window, dense.m1, dense.m2)
-    for tau in range(start + 3, end - 1):
-        left = window.slice(start, tau - 1)
-        right = window.slice(tau, end)
-        m, r = len(left), len(right)
-        assert sums.segment_score(m) == pytest.approx(oracle.fit(left).avg_log_likelihood(left),
-                                                      **close)
+    oracle = fixed_gp(kernel, channels, lengthscale=lengthscale, dense=True, min_fit_points=1)
+    for m in range(1, n + 1):
+        left, right = window.slice(start, start + m - 1), window.slice(end - m + 1, end)
+        assert sums.scores[m] == pytest.approx(oracle.fit(left).avg_log_likelihood(left),
+                                               **close)
         assert sums.mean(m) == pytest.approx(oracle.params.mean, **close)
-        assert back.segment_score(r) == pytest.approx(
-            oracle.fit(right).avg_log_likelihood(right), **close)
-        assert back.mean(r) == pytest.approx(oracle.params.mean, **close)
-        assert fast_scorer.evaluate(tau) == pytest.approx(dense_scorer.evaluate(tau), **close)
+        assert back.scores[m] == pytest.approx(oracle.fit(right).avg_log_likelihood(right),
+                                               **close)
+        assert back.mean(m) == pytest.approx(oracle.params.mean, **close)
+
+    taus = range(start + 3, end - 1)
+    dense_scorer = SplitScorer(window, dense.m1, dense.m2)
+    wants = [dense_scorer.evaluate(tau) for tau in taus]
+    fast.m1.fit = fast.m2.fit = fail_if_called
+    # A search on the grid reads the tables alone.
+    monkeypatch.setattr(PrefixSums, "log_likelihood", fail_if_called)
+    monkeypatch.setattr(PrefixSums, "mean", fail_if_called)
+    fast_scorer = SplitScorer(window, fast.m1, fast.m2, sums, back)
+    ternary_argmax(fast_scorer.evaluate, taus[0], taus[-1], start)
+    assert [fast_scorer.evaluate(tau) for tau in taus] == pytest.approx(wants, **close)
+    monkeypatch.undo()
     assert fast.m1.prefix is fast.m2.prefix is fast.m1.suffix is fast.m2.suffix is None
 
     def criteria(det):  # rows of (satisfied, d_left, d_right) as floats
@@ -588,8 +622,8 @@ def test_prefix_sums_do_not_depend_on_the_output_level(kernel, lengthscale):
         det.window, det.last_change = window, 37
         det.m0.fit(window)
         sums, back = det.m0.prefix, det.m0.suffix
-        scores.append([sums.segment_score(m) for m in range(3, len(window))]
-                      + [back.segment_score(r) for r in range(3, len(window))]
+        scores.append([sums.scores[m] for m in range(3, len(window))]
+                      + [back.scores[r] for r in range(3, len(window))]
                       + [d for tau in range(37, 99) for d in det.criterion(tau)[1:]])
     assert scores[1] == pytest.approx(scores[0], rel=1e-11, abs=0)
 
@@ -615,7 +649,7 @@ def test_grid_factor_serves_rounded_spacing_at_any_offset(offset):
     start, end = window.start_index, window.end_index
     for tau in range(start + 3, end - 1):
         left, right = window.slice(start, tau - 1), window.slice(tau, end)
-        assert sums.segment_score(len(left)) == pytest.approx(
+        assert sums.scores[len(left)] == pytest.approx(
             dense.fit(left).avg_log_likelihood(left), **close)
-        assert back.segment_score(len(right)) == pytest.approx(
+        assert back.scores[len(right)] == pytest.approx(
             dense.fit(right).avg_log_likelihood(right), **close)

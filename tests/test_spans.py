@@ -30,20 +30,30 @@ from gocpd.detector import Detector, DetectorConfig, stream_batches
 
 tracer = Tracer()
 tracer.install_layers()
-calls = {{}}
+out = {{}}
 for workload in ("iid_mean_changes", "gp_rbf_fixed"):
     tracer.reset()
     detector = Detector(DetectorConfig.from_dict(WORKLOADS[workload]["config"]))
     tracer.install_detector(detector)
     for batch in stream_batches(step_example(), 1):
         detector.step(batch)
-    calls[workload] = {{name: span["calls"]
-                       for name, span in tracer.summary()["spans"].items()}}
-print(json.dumps(calls))
+    records = detector.instrumentation
+    out[workload] = {{
+        "calls": {{name: span["calls"] for name, span in tracer.summary()["spans"].items()}},
+        "searched": sum(r["searched"] for r in records),
+        "evals": sum(r["evals"] for r in records),
+        "tables": detector.m0.prefix is not None and detector.m0.prefix.scores is not None}}
+print(json.dumps(out))
 """, tmp_path)
     for workload, extra in (("iid_mean_changes", "models.split.fit"),
                             ("gp_rbf_fixed", "models.cholesky")):
-        calls = out[workload]
+        calls = out[workload]["calls"]
         assert calls["detector.step"] == 101, workload
         for name in ALWAYS + (extra,):
             assert calls.get(name, 0) > 0, (workload, name)
+    # The fixed GP reads every split from m0's score tables. The tables are
+    # built inside m0.fit and read inside evaluate, so neither span empties.
+    gp = out["gp_rbf_fixed"]
+    assert gp["tables"]
+    assert gp["calls"]["search.evaluate"] >= gp["evals"] > 0
+    assert gp["calls"]["models.m0.fit"] >= gp["searched"] > 0
