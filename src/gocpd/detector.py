@@ -3,20 +3,22 @@
 Per arriving batch the detector: (1) waits out the warm-up and any
 post-detection quiet period, (2) refits the single-model hypothesis on all
 data since the last detected change, (3) updates the candidate change
-point with a warm-started ternary search over the effective interval, and
-(4) applies a two-segment acceptance test: the modified Mahalanobis
-distance of the data before and after the candidate, measured against the
-single model, must exceed thresholds ``nu1`` and ``nu2`` while the
-candidate stays put. The persistence counter ``k`` rises by one on a
-searched iteration where the criterion holds and the candidate stays
-within ``search_tol`` of both the previous candidate and the ``anchor``
-(where it first held), and is otherwise reset to 0 with the anchor dropped.
+point with a ternary search over the effective interval, whose left edge
+is the saved candidate, and (4) applies a two-segment acceptance test: the
+modified Mahalanobis distance of the data before and after the candidate,
+measured against the single model, must exceed thresholds ``nu1`` and
+``nu2`` while the candidate stays put. The persistence counter ``k`` rises
+by one on a searched iteration where the criterion holds and the candidate
+stays within ``search_tol`` of both the previous candidate and the
+``anchor`` (where it first held), and is otherwise reset to 0 with the
+anchor dropped.
 Once ``k`` exceeds ``k_max`` the change is declared, the pre-change data
 dropped, and every model reset to its priors. ``candidate``,
 ``candidate_score``, ``k`` and ``anchor`` are plain ``Detector`` fields.
 
-Every ``step`` appends one iteration record with the same keys, written
-before any detection reset, so a detection's record shows its candidate.
+Steps (2)-(4) change no state until all of them have run. Every ``step``
+appends one iteration record with the same keys, written before any
+detection reset, so a detection's record shows its candidate.
 
 The two-segment test is what gives robustness to outliers: an isolated
 spike only raises the distance of the segment containing it, so the
@@ -35,13 +37,18 @@ import numpy as np
 from .errors import ConfigError, NonContiguousBatch, NonPositiveDefinite, TooFewPoints
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel)
-from .search import SplitScorer, ternary_argmax
+from .search import SplitScorer, effective_interval, ternary_argmax
 from .window import TimeSeriesWindow, require_finite
 
 logger = logging.getLogger("gocpd.detector")
 
-# The result of ``_search_and_test`` for a step that ran no search.
-_NOT_SEARCHED = (0, 0, None, None, None, None, None)
+
+def _require_ints(owner, prefix: str, names: tuple[str, ...]) -> None:
+    """Reject a bool or a non-integer in any of ``owner``'s named fields."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{prefix}{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -62,6 +69,7 @@ class ModelSpec:
     max_fit_iters: int = 50
 
     def __post_init__(self):
+        _require_ints(self, "model.", ("channels", "min_fit_points", "max_fit_iters"))
         if self.family not in ("iid", "gp"):
             raise ConfigError(f"model.family must be 'iid' or 'gp', got {self.family!r}")
         if self.kernel not in ("rbf", "dirac"):
@@ -122,6 +130,7 @@ class DetectorConfig:
     REQUIRED = ("nu1", "nu2", "k_max", "t_ini", "wait")
 
     def __post_init__(self):
+        _require_ints(self, "", ("k_max", "t_ini", "wait", "search_tol", "batch_size"))
         if self.nu1 <= 0 or self.nu2 <= 0:
             raise ConfigError("nu1 and nu2 must be > 0")
         if self.k_max < 1:
@@ -218,12 +227,17 @@ class Detector:
         Returns the DetectionEvent if this batch's iteration declared a
         change, else None. Every call appends exactly one iteration record.
         Numerical failures inside the search or the criterion degrade to a
-        logged no-op; the stream stays alive. A batch holding NaN or inf
-        raises NonFiniteObservation and leaves the detector as it was.
+        logged no-op; the stream stays alive. A batch holding NaN or inf,
+        or a first batch with the wrong channel count, raises and leaves
+        the detector as it was.
         """
         started = time.perf_counter()
+        cfg = self.config
         require_finite(batch)
         if self.window is None:
+            if batch.channel_count != cfg.model.channels:
+                raise ValueError(f"batch has {batch.channel_count} channels but "
+                                 f"config.model expects {cfg.model.channels}")
             self.window = batch
             self.last_change = batch.start_index
         elif batch.start_index != self.window.end_index + 1:
@@ -235,16 +249,38 @@ class Detector:
             self.window = self.window.extend(batch)
         t = self.window.end_index
 
-        search, error = _NOT_SEARCHED, None
+        domain_size = evals = 0
+        satisfied = stable = d_left = d_right = event = error = None
         if self.wait_remaining > 0:
             self.wait_remaining = max(0, self.wait_remaining - len(batch))
-        elif t - self.last_change >= self.config.t_ini:
+        elif t - self.last_change >= cfg.t_ini:
+            # m0 is fitted even on an empty domain: a learned GP warm-starts from it.
             try:
-                search = self._search_and_test(t)
+                self.m0.fit(self.window)
+                lo, hi = effective_interval(t, self.last_change, self.candidate,
+                                            cfg.model.min_fit_points)
+                if lo <= hi:
+                    scorer = SplitScorer(self.window, self.m1, self.m2,
+                                         self.m0.prefix, self.m0.suffix)
+                    tau = ternary_argmax(scorer.evaluate, lo, hi, cfg.search_tol)
+                    satisfied, d_left, d_right = self.criterion(tau)
+                    domain_size, evals = hi - lo + 1, len(scorer.cache)
             except (NonPositiveDefinite, TooFewPoints) as exc:
                 logger.warning("degraded step at t=%d: %s", t, exc)
                 error = str(exc)
-        domain_size, evals, satisfied, stable, d_left, d_right, event = search
+        if domain_size:
+            stable = (self.candidate is not None and abs(tau - self.candidate) <= cfg.search_tol
+                      and (self.anchor is None or abs(tau - self.anchor) <= cfg.search_tol))
+            if satisfied and stable:
+                self.k += 1
+                if self.anchor is None:
+                    self.anchor = tau
+            else:
+                self.k = 0
+                self.anchor = None
+            self.candidate, self.candidate_score = tau, scorer.cache[tau]
+            if self.k > cfg.k_max:
+                event = DetectionEvent(tau, t, self.candidate_score, d_left, d_right)
         self.instrumentation.append({
             "kind": "iteration",
             "t": t,
@@ -263,36 +299,6 @@ class Detector:
             self.events.append(event)
             self._reset_after_detection(event.change_point, t)
         return event
-
-    def _search_and_test(self, t: int) -> tuple:
-        """Search, test and update ``k``; return the domain size, evaluations,
-        criterion, stability, both distances and the event, if any. Whatever
-        can raise runs before state changes."""
-        cfg = self.config
-        self.m0.fit(self.window)
-        prev = self.last_change if self.candidate is None else self.candidate
-        # effective_interval's bounds, in place: no call and no range per step.
-        lo = max(prev, self.last_change + cfg.model.min_fit_points)
-        hi = t - cfg.model.min_fit_points
-        if hi < lo:
-            return _NOT_SEARCHED
-
-        scorer = SplitScorer(self.window, self.m1, self.m2, self.m0.prefix, self.m0.suffix)
-        tau = ternary_argmax(scorer.evaluate, lo, hi, prev, cfg.search_tol)
-        satisfied, d_left, d_right = self.criterion(tau)
-        stable = (self.candidate is not None and abs(tau - prev) <= cfg.search_tol
-                  and (self.anchor is None or abs(tau - self.anchor) <= cfg.search_tol))
-        if satisfied and stable:
-            self.k += 1
-            if self.anchor is None:
-                self.anchor = tau
-        else:
-            self.k = 0
-            self.anchor = None
-        self.candidate, self.candidate_score = tau, scorer.cache[tau]
-        event = (DetectionEvent(tau, t, self.candidate_score, d_left, d_right)
-                 if self.k > cfg.k_max else None)
-        return hi - lo + 1, len(scorer.cache), satisfied, stable, d_left, d_right, event
 
     def criterion(self, candidate: int) -> tuple[bool, float, float]:
         """Two-segment acceptance test against the single-model fit.

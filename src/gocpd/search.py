@@ -1,19 +1,19 @@
 """Candidate change point search primitives.
 
-This module holds the pieces; ``Detector._search_and_test`` is the one
-place that composes them (``effective_interval``'s bounds, then a
-``SplitScorer``, then ``ternary_argmax``), and ``Detector`` keeps the
-saved candidate.
-
 The split metric for a window spanning ``[start, t]`` and a split point
 ``tau`` is the sum of the averaged log-likelihoods of two models fitted on
 ``[start, tau - 1]`` and ``[tau, t]``. For data containing a single change
 the metric is unimodal in ``tau``, so its argmax can be located with a
 discrete ternary search in ``O(log n)`` evaluations instead of a linear
 scan. Searches are warm-started from the best split of the previous
-iteration: the saved candidate both truncates the domain (the optimum
-never moves left of it) and serves as a comparison point inside the
-recursion.
+iteration, the saved candidate. It truncates the domain, since the optimum
+never moves left of it, so it is the domain's left edge ``lo`` whenever
+that edge is admissible, and the search compares ``score(lo)`` against its
+probes at every level.
+
+``Detector.step`` composes the pieces: ``effective_interval``'s bounds,
+then a ``SplitScorer``, then ``ternary_argmax``. ``Detector`` keeps the
+saved candidate.
 """
 
 from __future__ import annotations
@@ -24,23 +24,20 @@ from .errors import EmptyDomain, TooFewPoints
 from .models import ModelParams, ObservationModel, PrefixSums
 from .window import TimeSeriesWindow
 
-DEFAULT_TOL = 2
 
-
-def effective_interval(t: int, last_change: int, prev_candidate: int,
-                       min_fit_points: int = 3) -> range:
-    """Admissible split points at time ``t``, as an inclusive integer range.
+def effective_interval(t: int, last_change: int, candidate: int | None,
+                       min_fit_points: int) -> tuple[int, int]:
+    """Inclusive bounds ``(lo, hi)`` of the admissible split points at ``t``.
 
     Combines the split-point domain ``[last_change + 1, t - 1]``, the
     minimum size of both fitted segments, and the saved-candidate
-    truncation: timestamps before ``prev_candidate`` are never searched
-    again. The result may be empty.
+    truncation: timestamps before ``candidate`` are never searched again.
+    The domain is empty when ``hi < lo``.
     """
-    lo = max(prev_candidate, last_change + min_fit_points)
-    hi = t - min_fit_points
-    if hi < lo:
-        return range(lo, lo)
-    return range(lo, hi + 1)
+    lo = last_change + min_fit_points
+    if candidate is not None:
+        lo = max(lo, candidate)
+    return lo, t - min_fit_points
 
 
 class SplitScorer:
@@ -99,24 +96,20 @@ class SplitScorer:
         return value
 
 
-def ternary_argmax(score: Callable[[int], float], lo: int, hi: int,
-                   prev: int, tol: int = DEFAULT_TOL) -> int:
+def ternary_argmax(score: Callable[[int], float], lo: int, hi: int, tol: int) -> int:
     """Argmax of a unimodal integer-indexed sequence on ``[lo, hi]``.
 
     Follows the saved-candidate recursion: besides the two interior probe
-    points, the previous candidate (clamped into the domain) is compared
-    against the left probe, and the bracket collapses onto it when it
-    still dominates. When the probes come within ``tol`` of each other the
-    remaining bracket is scanned linearly, so the returned index is the
-    exact argmax of the final bracket. ``score`` should memoize: the
-    anchor is re-examined at every level.
+    points ``t1 < t2``, the left edge ``lo`` (the saved candidate, or the
+    first admissible split) is compared against them, and the bracket
+    collapses onto ``[lo, t1]`` while ``lo`` still dominates. When the
+    probes come within ``tol`` of each other the remaining bracket is
+    scanned linearly, so the returned index is the exact argmax of the
+    final bracket. ``score`` should memoize: ``lo`` is re-examined at
+    every level.
     """
     if lo > hi:
         raise EmptyDomain(f"empty search domain [{lo}, {hi}]")
-    if lo == hi:
-        score(lo)
-        return lo
-    anchor = min(max(prev, lo), hi)
     left, right = lo, hi
     while True:
         third = (right - left) // 3
@@ -128,13 +121,13 @@ def ternary_argmax(score: Callable[[int], float], lo: int, hi: int,
             return max(range(left, right + 1), key=lambda tau: (score(tau), -tau))
         s1 = score(t1)
         s2 = score(t2)
-        # Collapse onto the saved candidate only while it dominates both
-        # probes. For a unimodal sequence s(anchor) > s(t1) already implies
+        # Collapse onto the left edge only while it dominates both probes.
+        # For a unimodal sequence s(lo) > s(t1) already implies
         # s(t2) <= s(t1), so this is the plain candidate-comparison branch;
         # requiring it to also beat s(t2) keeps transiently bimodal scores
         # from discarding a lobe growing on the right.
-        if anchor < t1 and score(anchor) > s1 and score(anchor) >= s2:
-            left, right = anchor, t1
+        if lo < t1 and score(lo) > s1 and score(lo) >= s2:
+            left, right = lo, t1
             continue
         if s1 < s2:
             left = t1

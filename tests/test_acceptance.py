@@ -48,7 +48,8 @@ def test_criterion_1_unimodality_reproduction():
     started = time.perf_counter()
     window = step_example()
     scorer = SplitScorer(window, fixed_iid(0.001), fixed_iid(0.001))
-    domain = list(effective_interval(window.end_index, 0, 0, 3))
+    lo, hi = effective_interval(window.end_index, 0, None, 3)
+    domain = range(lo, hi + 1)
     scan = np.array([scorer.evaluate(tau) for tau in domain])
     elapsed = time.perf_counter() - started
 
@@ -70,7 +71,8 @@ def test_criterion_2_search_oracle_equivalence():
     noise = 0.1
     for w in seeded_step_windows(200, seed=42, noise=noise):
         scorer = SplitScorer(w, fixed_iid(noise), fixed_iid(noise))
-        domain = list(effective_interval(w.end_index, 0, 0, 3))
+        lo, hi = effective_interval(w.end_index, 0, None, 3)
+        domain = range(lo, hi + 1)
         scan = np.array([scorer.evaluate(tau) for tau in domain])
         if not scan_is_unimodal(scan):
             non_unimodal += 1
@@ -78,7 +80,7 @@ def test_criterion_2_search_oracle_equivalence():
         unimodal += 1
         # a fresh scorer: the scan's cache would hide the search
         search = SplitScorer(w, fixed_iid(noise), fixed_iid(noise))
-        candidate = ternary_argmax(search.evaluate, domain[0], domain[-1], 0, tol=2)
+        candidate = ternary_argmax(search.evaluate, lo, hi, tol=2)
         if candidate != domain[int(scan.argmax())]:
             mismatches += 1
     rate = non_unimodal / 200

@@ -137,6 +137,17 @@ def test_detect_missing_config_field_names_it(tmp_path, step_csv, capsys):
     assert not out.exists()  # no partial outputs on schema errors
 
 
+def test_detect_fractional_batch_size_is_a_config_error(tmp_path, step_csv, capsys):
+    doc = step_config_doc()
+    doc["batch_size"] = 2.5
+    cpath = tmp_path / "fractional.json"
+    write_json(cpath, doc)
+    rc = main(["detect", "--data", str(step_csv), "--config", str(cpath),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error: batch_size must be an integer" in capsys.readouterr().err
+
+
 def test_detect_channel_mismatch_rejected(tmp_path, config_path, capsys):
     y = np.column_stack([np.zeros(50), np.ones(50)])
     w = TimeSeriesWindow(np.arange(50.0), y)

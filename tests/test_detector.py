@@ -65,6 +65,21 @@ def test_config_validation():
             DetectorConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("field", ["k_max", "t_ini", "wait", "search_tol", "batch_size",
+                                   "model.channels", "model.min_fit_points",
+                                   "model.max_fit_iters"])
+def test_config_integer_fields_reject_floats_and_bools(field):
+    doc = DetectorConfig().to_dict()
+    owner, name = (doc["model"], field[6:]) if field.startswith("model.") else (doc, field)
+    default = owner[name]
+    for value in (2.5, 30.0, True):
+        owner[name] = value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            DetectorConfig.from_dict(doc)
+    owner[name] = np.int64(default)
+    assert DetectorConfig.from_dict(doc).to_dict() == DetectorConfig().to_dict()
+
+
 def test_config_from_dict_requires_fields():
     doc = DetectorConfig().to_dict()
     doc.pop("nu1")
@@ -108,7 +123,8 @@ def test_step_stream_matches_exhaustive_scan_oracle():
     window = step_example()
     det = run_series(window, step_config())
     scorer = SplitScorer(window, fixed_iid(0.1), fixed_iid(0.1))
-    domain = effective_interval(100, 0, 0, 3)
+    lo, hi = effective_interval(100, 0, None, 3)
+    domain = range(lo, hi + 1)
     scan = [scorer.evaluate(tau) for tau in domain]
     oracle_location = domain[int(np.argmax(scan))]
     assert len(det.events) == 1
@@ -126,7 +142,8 @@ def test_detector_search_equals_exhaustive_scan_when_scan_unimodal():
     unimodal = mismatches = 0
     for w in seeded_step_windows(200, seed=42, noise=0.1):
         scorer = SplitScorer(w, fixed_iid(0.1), fixed_iid(0.1))
-        domain = effective_interval(w.end_index, 0, 0, 3)
+        lo, hi = effective_interval(w.end_index, 0, None, 3)
+        domain = range(lo, hi + 1)
         scan = np.array([scorer.evaluate(tau) for tau in domain])
         if not scan_is_unimodal(scan):
             continue
@@ -334,6 +351,15 @@ def test_non_finite_input_named_by_first_bad_timestamp():
     assert det.window is None
 
 
+def test_wrong_channel_count_raises_before_any_state():
+    det = Detector(step_config())
+    two = TimeSeriesWindow(np.arange(40.0), np.zeros((40, 2)))
+    with pytest.raises(ValueError, match="2 channels"):
+        det.step(two.slice(0, 0))
+    assert det.window is None
+    assert det.instrumentation == []
+
+
 def test_fixed_gp_nan_raises_at_its_step():
     y = np.random.default_rng(8).normal(size=60)
     y[40] = np.nan
@@ -465,16 +491,14 @@ def test_replay_properties_on_random_mean_shift_streams(seed, batch_size):
     assert [strip(r) for r in records] == [strip(r) for r in again_records]
 
     declared = {e.declared_at for e in events}
-    prev = None
+    saved = None
     for rec in records:
-        if rec["candidate"] is not None and prev is not None:
-            assert rec["candidate"] >= prev
+        if rec["candidate"] is not None and saved is not None:
+            assert rec["candidate"] >= saved
         if rec["searched"]:  # the detector searches effective_interval's domain
-            last_change = rec["t"] - rec["interval"]
-            domain = effective_interval(rec["t"], last_change,
-                                        last_change if prev is None else prev, 3)
-            assert rec["domain_size"] == len(domain)
-        prev = None if rec["t"] in declared else rec["candidate"]
+            lo, hi = effective_interval(rec["t"], rec["t"] - rec["interval"], saved, 3)
+            assert rec["domain_size"] == hi - lo + 1
+        saved = None if rec["t"] in declared else rec["candidate"]
 
     searched = [r for r in records if r["searched"]]
     assert searched

@@ -22,11 +22,11 @@ def step_window(n_left=50, n_right=51, delta=1.0, noise=0.1, seed=0):
     return TimeSeriesWindow(np.arange(len(y), dtype=float), y)
 
 
-def search(w, prev, tol=2, noise=0.001):
+def search(w, candidate, tol=2, noise=0.001):
     """One fresh-scorer search of ``w``, composed as the detector does."""
     scorer = SplitScorer(w, fixed_iid(noise=noise), fixed_iid(noise=noise))
-    dom = effective_interval(w.end_index, w.start_index, prev, 3)
-    return ternary_argmax(scorer.evaluate, dom.start, dom.stop - 1, prev, tol), scorer
+    lo, hi = effective_interval(w.end_index, w.start_index, candidate, 3)
+    return ternary_argmax(scorer.evaluate, lo, hi, tol), scorer
 
 
 class CountingScore:
@@ -42,39 +42,36 @@ class CountingScore:
 # -- effective_interval -------------------------------------------------------
 
 def test_full_domain_without_saved_candidate():
-    dom = effective_interval(100, 0, 0, min_fit_points=3)
-    assert dom[0] == 3      # left segment needs 3 points
-    assert dom[-1] == 97    # right segment needs 3 points
+    # Both segments need 3 points.
+    assert effective_interval(100, 0, None, min_fit_points=3) == (3, 97)
+    assert effective_interval(100, 0, 2, min_fit_points=3) == (3, 97)
 
 
 def test_saved_candidate_truncates_domain():
-    dom = effective_interval(100, 0, 80, min_fit_points=3)
-    assert dom[0] == 80
-    assert dom[-1] == 97
-    assert all(tau >= 80 for tau in dom)
+    assert effective_interval(100, 0, 80, min_fit_points=3) == (80, 97)
 
 
 def test_domain_empty_when_constraints_exclude_everything():
-    dom = effective_interval(10, 0, 9, min_fit_points=3)
-    assert len(dom) == 0
+    lo, hi = effective_interval(10, 0, 9, min_fit_points=3)
+    assert hi < lo
 
 
 # -- ternary_argmax on explicit sequences --------------------------------------
 
 def test_argmax_of_small_unimodal_sequence():
     score = CountingScore([1, 3, 5, 4, 2], offset=1)
-    assert ternary_argmax(score, 1, 5, prev=1, tol=1) == 3
+    assert ternary_argmax(score, 1, 5, tol=1) == 3
 
 
 def test_singleton_domain_returns_the_point():
     score = CountingScore([7.0], offset=4)
-    assert ternary_argmax(score, 4, 4, prev=0) == 4
+    assert ternary_argmax(score, 4, 4, tol=2) == 4
     assert score.evaluated == {4}
 
 
 def test_matches_linear_scan_on_random_unimodal_sequences():
-    # prev is drawn at or before the peak, matching the saved-candidate
-    # contract: the argmax never lies left of the previous candidate.
+    # The search starts at a saved candidate drawn at or before the peak,
+    # matching its contract: the argmax never lies left of the candidate.
     rng = np.random.default_rng(0)
     for trial in range(200):
         n = int(rng.integers(2, 300))
@@ -82,9 +79,9 @@ def test_matches_linear_scan_on_random_unimodal_sequences():
         up = np.sort(rng.uniform(-10, 10, size=peak + 1))
         down = up[-1] - np.cumsum(rng.uniform(0.01, 1.0, size=n - peak - 1))
         seq = np.concatenate([up, down])
-        prev = int(rng.integers(0, peak + 1))
+        candidate = int(rng.integers(0, peak + 1))
         score = CountingScore(seq)
-        got = ternary_argmax(score, 0, n - 1, prev=prev, tol=2)
+        got = ternary_argmax(score, candidate, n - 1, tol=2)
         assert got == int(np.argmax(seq)), f"trial {trial}"
 
 
@@ -97,13 +94,13 @@ def test_evaluation_count_is_logarithmic():
             np.sort(rng.uniform(-5, 5, size=n - peak - 1))[::-1] - 5.0,
         ])
         score = CountingScore(seq)
-        ternary_argmax(score, 0, n - 1, prev=0, tol=2)
+        ternary_argmax(score, 0, n - 1, tol=2)
         assert len(score.evaluated) <= evaluation_count_bound(n)
 
 
 def test_empty_domain_raises():
     with pytest.raises(EmptyDomain):
-        ternary_argmax(lambda tau: 0.0, 5, 4, prev=5)
+        ternary_argmax(lambda tau: 0.0, 5, 4, tol=2)
 
 
 # -- SplitScorer ---------------------------------------------------------------
@@ -163,8 +160,7 @@ def test_cached_split_params_unchanged_after_learned_gp_search():
         inserted.setdefault(tau, tuple(p.copy() for p in scorer.fits[tau]))
         return value
 
-    dom = effective_interval(w.end_index, w.start_index, 0, 3)
-    ternary_argmax(score, dom.start, dom.stop - 1, dom.start, tol=2)
+    ternary_argmax(score, *effective_interval(w.end_index, w.start_index, None, 3), tol=2)
     assert len(inserted) == len(scorer.fits) == len(scorer.cache) >= 4
     for tau, (left_params, right_params) in scorer.fits.items():
         left, right = inserted[tau]
@@ -176,10 +172,10 @@ def test_cached_split_params_unchanged_after_learned_gp_search():
 
 def test_step_data_candidate_near_true_change():
     w = step_window()
-    candidate, scorer = search(w, prev=1, tol=2)
+    candidate, scorer = search(w, candidate=1, tol=2)
     assert 49 <= candidate <= 51
-    dom = effective_interval(100, 0, 1, 3)
-    assert len(scorer.cache) <= evaluation_count_bound(len(dom))
+    lo, hi = effective_interval(100, 0, 1, 3)
+    assert len(scorer.cache) <= evaluation_count_bound(hi - lo + 1)
 
 
 def test_search_equals_exhaustive_scan_when_scan_unimodal():
@@ -192,41 +188,42 @@ def test_search_equals_exhaustive_scan_when_scan_unimodal():
     noise = 0.1
     for w in seeded_step_windows(100, seed=42, noise=noise):
         scorer = SplitScorer(w, fixed_iid(noise=noise), fixed_iid(noise=noise))
-        dom = effective_interval(w.end_index, 0, 0, 3)
+        lo, hi = effective_interval(w.end_index, 0, None, 3)
+        dom = range(lo, hi + 1)
         scan = np.array([scorer.evaluate(tau) for tau in dom])
         checked += 1
         if not scan_is_unimodal(scan):
             non_unimodal += 1
             continue
-        candidate, _ = search(w, prev=0, tol=2, noise=noise)
+        candidate, _ = search(w, candidate=None, tol=2, noise=noise)
         assert candidate == dom[int(scan.argmax())]
     assert non_unimodal / checked < 0.2
 
 
 def test_search_respects_saved_candidate_lower_bound():
     w = step_window()
-    candidate, _ = search(w, prev=60, tol=2)
+    candidate, _ = search(w, candidate=60, tol=2)
     assert candidate >= 60
 
 
 def test_search_empty_domain_raises():
     w = step_window(n_left=4, n_right=4)
     with pytest.raises(EmptyDomain):
-        search(w, prev=7)
+        search(w, candidate=7)
 
 
 def test_candidates_monotone_as_stream_grows():
     # Replaying a growing window, the saved candidate never moves left once
     # the domain is anchored to it.
     full = step_window()
-    prev = 0
+    saved = 0
     seen = []
     for t in range(30, 101, 5):
         w = full.slice(0, t)
-        candidate, _ = search(w, prev=prev, tol=2)
+        candidate, _ = search(w, candidate=saved, tol=2)
         seen.append(candidate)
-        assert candidate >= prev
-        prev = candidate
+        assert candidate >= saved
+        saved = candidate
     assert seen == sorted(seen)
 
 
@@ -235,8 +232,8 @@ def test_step_scan_unimodal_near_change():
     # local maximum within +-2 of the true change.
     w = step_example()
     scorer = SplitScorer(w, fixed_iid(), fixed_iid())
-    dom = effective_interval(100, 0, 0, 3)
-    taus = list(dom)
+    lo, hi = effective_interval(100, 0, None, 3)
+    taus = list(range(lo, hi + 1))
     vals = np.array([scorer.evaluate(tau) for tau in taus])
     assert taus[int(vals.argmax())] in range(48, 53)
     local_max_in_window = [
