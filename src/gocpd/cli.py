@@ -50,22 +50,12 @@ def _load_script(args) -> datagen.RegimeScript:
     missing = [name for name in required if name not in doc]
     if missing:
         raise ConfigError(f"{args.script}: script missing field(s): {', '.join(missing)}")
-    base = doc.get("base", {})
-    params = ModelParams(
-        mean=[base.get("mean", datagen.DEFAULT_BASE["mean"])],
-        noise_std=base.get("noise_std", datagen.DEFAULT_BASE["noise_std"]),
-        lengthscale=base.get("lengthscale", datagen.DEFAULT_BASE["lengthscale"]),
-        output_scale=base.get("output_scale", datagen.DEFAULT_BASE["output_scale"]),
-        kernel=Kernel(base.get("kernel", "rbf")),
-    )
-    return datagen.RegimeScript(
-        length=doc["length"],
-        change_locations=doc["change_locations"],
-        vary=doc["vary"],
-        factors=doc["factors"],
-        seed=doc.get("seed", args.seed),
-        base_params=params,
-    )
+    base = {**datagen.DEFAULT_BASE, "kernel": "rbf", **doc.get("base", {})}
+    params = ModelParams(mean=[base["mean"]], noise_std=base["noise_std"],
+                         lengthscale=base["lengthscale"], output_scale=base["output_scale"],
+                         kernel=Kernel(base["kernel"]))
+    return datagen.RegimeScript(**{name: doc[name] for name in required},
+                                seed=doc.get("seed", args.seed), base_params=params)
 
 
 def cmd_generate(args) -> int:
@@ -116,16 +106,7 @@ def _detect_once(series, config: DetectorConfig, out: Path, seed: int, data_path
 
 def cmd_detect(args) -> int:
     config = _load_detector_config(args.config)
-    if args.batch:
-        doc = config.to_dict()
-        doc["batch_size"] = args.batch
-        config = DetectorConfig.from_dict(doc)
     series = read_series_csv(args.data)
-    if series.channel_count != config.model.channels:
-        raise ConfigError(
-            f"{args.data} has {series.channel_count} channels but config.model "
-            f"expects {config.model.channels}"
-        )
     if args.standardize:
         series, _ = datagen.standardize(series)
 
@@ -140,7 +121,7 @@ def cmd_detect(args) -> int:
         print(f"tuned thresholds: nu1={config.nu1} nu2={config.nu2} k_max={config.k_max}")
 
     out = Path(args.out)
-    if args.reps <= 1:
+    if args.reps == 1:
         _detect_once(series, config, out, args.seed, args.data)
         return 0
     # repetition runs randomize the model initialization, one directory each
@@ -248,6 +229,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gocpd",
@@ -269,9 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--config", required=True, help="detector config JSON path")
     p_det.add_argument("--out", required=True, help="output directory")
     p_det.add_argument("--seed", type=int, default=0, help="recorded in artifacts")
-    p_det.add_argument("--reps", type=int, default=1,
+    p_det.add_argument("--reps", type=_positive_int, default=1,
                        help="repetition runs with randomized model initialization")
-    p_det.add_argument("--batch", type=int, default=0, help="override config batch size")
     p_det.add_argument("--standardize", action="store_true",
                        help="standardize each channel before detection")
     p_det.add_argument("--tune", action="store_true",
@@ -292,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="measure detection wall time per point")
     p_bench.add_argument("--data", required=True)
     p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--reps", type=int, default=1)
+    p_bench.add_argument("--reps", type=_positive_int, default=1)
     p_bench.add_argument("--out")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroVariance
+from .errors import ConfigError, ZeroVariance, check_fields
 from .models import Kernel, ModelParams, chol_with_jitter, noisy_gram
 from .window import TimeSeriesWindow, require_finite
 
@@ -40,7 +40,8 @@ class RegimeScript:
     """Recipe for one piecewise-stationary series.
 
     ``factors`` multiply ``base_params.<vary>`` segment by segment; for the
-    mean this is equivalent to absolute levels when the base mean is 1.
+    mean this is equivalent to absolute levels when the base mean is 1. A
+    factor of any other hyperparameter must be positive.
     """
 
     length: int
@@ -57,21 +58,19 @@ class RegimeScript:
     ))
 
     def __post_init__(self):
-        if self.vary not in VARIABLE_PARAMS:
-            raise ValueError(f"vary must be one of {VARIABLE_PARAMS}, got {self.vary!r}")
-        locs = list(self.change_locations)
+        check_fields(self, vary=VARIABLE_PARAMS, seed=">= 0")
+        locs = self.change_locations
         if not locs or locs[0] != 0:
-            raise ValueError("change_locations must start at 0")
-        if any(b <= a for a, b in zip(locs, locs[1:])):
-            raise ValueError("change_locations must be strictly increasing")
+            raise ConfigError("change_locations must start at 0")
         if any(b - a < MIN_SEGMENT_GAP for a, b in zip(locs, locs[1:])):
-            raise ValueError(f"change points must be at least {MIN_SEGMENT_GAP} apart")
+            raise ConfigError(f"change_locations must be increasing, at least "
+                              f"{MIN_SEGMENT_GAP} apart")
         if self.length <= locs[-1]:
-            raise ValueError("length must exceed the last change location")
+            raise ConfigError("length must exceed the last change location")
         if len(self.factors) != len(locs):
-            raise ValueError(
-                f"{len(locs)} segments but {len(self.factors)} factors"
-            )
+            raise ConfigError(f"{len(locs)} segments but {len(self.factors)} factors")
+        if self.vary != "mean" and not all(f > 0 for f in self.factors):
+            raise ConfigError(f"factors must be > 0 when varying {self.vary}")
 
     def segment_bounds(self) -> list[tuple[int, int]]:
         """Half-open (start, stop) index pairs covering 0..length."""
@@ -99,7 +98,7 @@ def standard_script(vary: str, seed: int = 0, length: int = 1000) -> RegimeScrip
         length=length,
         change_locations=list(DEFAULT_CHANGE_LOCATIONS),
         vary=vary,
-        factors=list(FACTOR_TABLES[vary]),
+        factors=list(FACTOR_TABLES.get(vary, [])),  # RegimeScript rejects an unknown vary
         seed=seed,
     )
 

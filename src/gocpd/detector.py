@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, NonContiguousBatch, NonPositiveDefinite, TooFewPoints
+from .errors import ConfigError, NonPositiveDefinite, TooFewPoints, check_fields
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel)
 from .search import SplitScorer, effective_interval, ternary_argmax
@@ -43,17 +43,10 @@ from .window import TimeSeriesWindow, require_finite
 logger = logging.getLogger("gocpd.detector")
 
 
-def _require_ints(owner, prefix: str, names: tuple[str, ...]) -> None:
-    """Reject a bool or a non-integer in any of ``owner``'s named fields."""
-    for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{prefix}{name} must be an integer, got {value!r}")
-
-
 @dataclass
 class ModelSpec:
-    """Observation-model choice and priors, JSON-serializable."""
+    """Observation-model choice and priors, JSON-serializable. The priors
+    are built, and their bounds checked, once, at construction."""
 
     family: str = "iid"
     kernel: str = "rbf"
@@ -69,40 +62,32 @@ class ModelSpec:
     max_fit_iters: int = 50
 
     def __post_init__(self):
-        _require_ints(self, "model.", ("channels", "min_fit_points", "max_fit_iters"))
-        if self.family not in ("iid", "gp"):
-            raise ConfigError(f"model.family must be 'iid' or 'gp', got {self.family!r}")
-        if self.kernel not in ("rbf", "dirac"):
-            raise ConfigError(f"model.kernel must be 'rbf' or 'dirac', got {self.kernel!r}")
-        if self.channels < 1:
-            raise ConfigError(f"model.channels must be >= 1, got {self.channels}")
-        if self.max_fit_iters < 0:
-            raise ConfigError(f"model.max_fit_iters must be >= 0, got {self.max_fit_iters}")
+        check_fields(self, "model.", family=("iid", "gp"), kernel=("rbf", "dirac"),
+                     channels=">= 1", min_fit_points=">= 1", max_fit_iters=">= 0")
+        if len(self.mean) == 1:
+            self.mean = self.mean * self.channels
         if len(self.mean) != self.channels:
-            if len(self.mean) == 1:
-                self.mean = list(self.mean) * self.channels
-            else:
-                raise ConfigError(
-                    f"model.mean has {len(self.mean)} entries for {self.channels} channels"
-                )
-        if self.min_fit_points < 1:
-            raise ConfigError("model.min_fit_points must be >= 1")
+            raise ConfigError(f"model.mean has {len(self.mean)} entries for "
+                              f"{self.channels} channels")
+        try:
+            self.priors = ModelParams(
+                mean=self.mean,
+                noise_std=self.noise_std,
+                lengthscale=self.lengthscale,
+                output_scale=self.output_scale,
+                kernel=Kernel(self.kernel) if self.family == "gp" else None,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"model.{exc}") from exc
 
     def build(self) -> ObservationModel:
         """A fresh model at the priors; a GP model with every hyperparameter
         fixed comes with its own grid factor."""
-        params = ModelParams(
-            mean=np.asarray(self.mean, dtype=float),
-            noise_std=self.noise_std,
-            lengthscale=self.lengthscale,
-            output_scale=self.output_scale,
-            kernel=Kernel(self.kernel) if self.family == "gp" else None,
-        )
         if self.family == "iid":
-            return IidGaussianModel(params, min_fit_points=self.min_fit_points,
+            return IidGaussianModel(self.priors, min_fit_points=self.min_fit_points,
                                     fix_noise=self.fix_noise)
         return GaussianProcessModel(
-            params, min_fit_points=self.min_fit_points, fix_noise=self.fix_noise,
+            self.priors, min_fit_points=self.min_fit_points, fix_noise=self.fix_noise,
             fix_kernel=self.fix_kernel, fix_output_scale=self.fix_output_scale,
             max_fit_iters=self.max_fit_iters)
 
@@ -130,52 +115,27 @@ class DetectorConfig:
     REQUIRED = ("nu1", "nu2", "k_max", "t_ini", "wait")
 
     def __post_init__(self):
-        _require_ints(self, "", ("k_max", "t_ini", "wait", "search_tol", "batch_size"))
-        if self.nu1 <= 0 or self.nu2 <= 0:
-            raise ConfigError("nu1 and nu2 must be > 0")
-        if self.k_max < 1:
-            raise ConfigError("k_max must be >= 1")
-        if self.t_ini < 2 * self.model.min_fit_points:
-            raise ConfigError(
-                f"t_ini must be >= {2 * self.model.min_fit_points} "
-                f"(twice model.min_fit_points)"
-            )
-        if self.wait < 0:
-            raise ConfigError("wait must be >= 0")
-        if self.search_tol < 1:
-            raise ConfigError("search_tol must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        # t_ini leaves room for two segments of model.min_fit_points each.
+        check_fields(self, nu1="> 0", nu2="> 0", k_max=">= 1",
+                     t_ini=f">= {2 * self.model.min_fit_points}", wait=">= 0",
+                     search_tol=">= 1", batch_size=">= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DetectorConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
+        model_doc = doc.get("model", {}) if isinstance(doc, dict) else None
+        for where, part, owner in (("config", doc, cls), ("config.model", model_doc, ModelSpec)):
+            if not isinstance(part, dict):
+                raise ConfigError(f"{where} must be a JSON object")
+            unknown = sorted(map(str, set(part) - {f.name for f in fields(owner)}))
+            if unknown:
+                raise ConfigError(f"{where} has unknown field(s): {', '.join(unknown)}")
         missing = [name for name in cls.REQUIRED if name not in doc]
         if missing:
             raise ConfigError(f"config missing required field(s): {', '.join(missing)}")
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"config has unknown field(s): {', '.join(sorted(unknown))}")
-        kwargs = dict(doc)
-        model_doc = kwargs.pop("model", {})
-        if not isinstance(model_doc, dict):
-            raise ConfigError("config field 'model' must be an object")
-        model_known = {f.name for f in ModelSpec.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        model_unknown = set(model_doc) - model_known
-        if model_unknown:
-            raise ConfigError(
-                f"config.model has unknown field(s): {', '.join(sorted(model_unknown))}"
-            )
-        try:
-            spec = ModelSpec(**model_doc)
-            return cls(model=spec, **kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**{**doc, "model": ModelSpec(**model_doc)})
 
 
 @dataclass
@@ -228,23 +188,19 @@ class Detector:
         change, else None. Every call appends exactly one iteration record.
         Numerical failures inside the search or the criterion degrade to a
         logged no-op; the stream stays alive. A batch holding NaN or inf,
-        or a first batch with the wrong channel count, raises and leaves
-        the detector as it was.
+        a first batch with the wrong channel count, or a later batch that
+        does not continue the window (``NonContiguousBatch``, from
+        ``TimeSeriesWindow.extend``) raises and leaves the detector as it was.
         """
         started = time.perf_counter()
         cfg = self.config
         require_finite(batch)
         if self.window is None:
             if batch.channel_count != cfg.model.channels:
-                raise ValueError(f"batch has {batch.channel_count} channels but "
-                                 f"config.model expects {cfg.model.channels}")
+                raise ValueError(f"batch has {batch.channel_count} channels, "
+                                 f"config.model has {cfg.model.channels}")
             self.window = batch
             self.last_change = batch.start_index
-        elif batch.start_index != self.window.end_index + 1:
-            raise NonContiguousBatch(
-                f"batch starts at {batch.start_index}, expected "
-                f"{self.window.end_index + 1}"
-            )
         else:
             self.window = self.window.extend(batch)
         t = self.window.end_index
@@ -399,6 +355,8 @@ def grid_search_thresholds(series: TimeSeriesWindow, truth: list[int],
     """
     from .metrics import match_detections, rates
 
+    if not 0 < train_frac <= 1:
+        raise ValueError(f"train_frac must be in (0, 1], got {train_frac}")
     split_at = series.start_index + max(1, int(len(series) * train_frac)) - 1
     train = series.slice(series.start_index, split_at)
     train_truth = [c for c in truth if c <= split_at]

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check that
+raises ``ConfigError``."""
+
+import math
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class GocpdError(Exception):
@@ -18,7 +23,7 @@ class EmptyDomain(GocpdError):
     """The candidate search interval contains no admissible timestamps."""
 
 
-class NonContiguousBatch(GocpdError):
+class NonContiguousBatch(GocpdError, ValueError):
     """An incoming batch does not continue the stream's timestamps."""
 
 
@@ -34,5 +39,53 @@ class EmptyLog(GocpdError):
     """An instrumentation log contains no usable records."""
 
 
-class ConfigError(GocpdError):
+class ConfigError(GocpdError, ValueError):
     """A configuration document is missing fields or holds invalid values."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+# What a value of each declared field type must be. Numpy integers and
+# floats are numbers, a bool is not, and a list entry must be finite (by a
+# comparison, which a huge int passes).
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list[int]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "list[float]": ("a list of finite numbers", lambda v: isinstance(v, list) and all(
+        _is_number(x) and -math.inf < x < math.inf for x in v)),
+}
+
+
+def check_fields(owner, prefix: str = "", **bounds) -> None:
+    """Raise ConfigError naming the first field of the dataclass ``owner``
+    whose value is not of its declared kind, or breaks its bound.
+
+    Kinds are read from the annotations, which the declaring module keeps as
+    strings (``from __future__ import annotations``); a field of any other
+    type is left to its class. A bound is ``">= limit"`` or ``"> limit"``,
+    which NaN fails, or a tuple of the allowed values. Values are checked,
+    never converted.
+    """
+    for f in fields(owner):
+        value = getattr(owner, f.name)
+        kind, ok = _KINDS.get(f.type, ("", lambda v: True))
+        if not ok(value):
+            raise ConfigError(f"{prefix}{f.name} must be {kind}, got {value!r}")
+    for name, bound in bounds.items():
+        value = getattr(owner, name)
+        if isinstance(bound, tuple):
+            ok, bound = value in bound, f"one of {bound}"
+        else:
+            op, limit = bound.split()
+            ok = value >= float(limit) if op == ">=" else value > float(limit)
+        if not ok:
+            raise ConfigError(f"{prefix}{name} must be {bound}, got {value!r}")

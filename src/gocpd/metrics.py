@@ -35,6 +35,8 @@ def match_detections(truth: list[int], detected: list[int], tolerance: int = 25)
     earlier true change wins. Duplicate truth locations count once;
     duplicate detections each count.
     """
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     truth = sorted(set(truth))
     detected = sorted(detected)
     pairs_by_distance = sorted(

@@ -111,12 +111,12 @@ class ModelParams:
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        if self.lengthscale <= 0:
-            raise ValueError(f"lengthscale must be > 0, got {self.lengthscale}")
-        if self.output_scale <= 0:
-            raise ValueError(f"output_scale must be > 0, got {self.output_scale}")
-        if self.noise_std <= 0:
-            raise ValueError(f"noise_std must be > 0, got {self.noise_std}")
+        if not 0 < self.lengthscale < math.inf:
+            raise ValueError(f"lengthscale must be > 0 and finite, got {self.lengthscale}")
+        if not 0 < self.output_scale < math.inf:
+            raise ValueError(f"output_scale must be > 0 and finite, got {self.output_scale}")
+        if not 0 < self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be > 0 and finite, got {self.noise_std}")
 
     @property
     def channel_count(self) -> int:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteObservation
+from .errors import NonContiguousBatch, NonFiniteObservation
 
 
 class TimeSeriesWindow:
@@ -75,9 +75,9 @@ class TimeSeriesWindow:
         return TimeSeriesWindow(self.inputs[i:j], self.outputs[i:j], start_index=a)
 
     def extend(self, other: "TimeSeriesWindow") -> "TimeSeriesWindow":
-        """Concatenate a contiguous continuation onto this window."""
+        """Concatenate a continuation; raise NonContiguousBatch unless it is contiguous."""
         if other.start_index != self.end_index + 1:
-            raise ValueError(
+            raise NonContiguousBatch(
                 f"windows not contiguous: this ends at {self.end_index}, "
                 f"next starts at {other.start_index}"
             )

@@ -184,8 +184,9 @@ def test_criterion_5a_mean_change_quality():
 def test_criterion_5b_lengthscale_change_quality():
     # Expected to fail: with the specified split metric and two-segment
     # distance test, lengthscale changes whose smoother side follows the
-    # change are not localizable (see the decisions ledger for the measured
-    # analysis). The criterion is asserted as stated.
+    # change are not localizable. docs/decisions.md is the decisions ledger:
+    # it holds the measured rates per model family, from tests/ledger_5b.py.
+    # The criterion is asserted as stated.
     started = time.perf_counter()
     tpr, ppv = _tuned_rates("lengthscale")
     elapsed = time.perf_counter() - started

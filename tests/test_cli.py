@@ -109,6 +109,20 @@ def test_generate_script_missing_fields(tmp_path, capsys):
     assert "change_locations" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("length", "1000"), ("length", 1000.5),
+    ("change_locations", [0, "500"]), ("factors", [0, "x"]),
+])
+def test_generate_script_bad_field_is_named(tmp_path, capsys, field, value):
+    script = {"length": 1000, "change_locations": [0, 500], "vary": "mean",
+              "factors": [0, 1], field: value}
+    spath = tmp_path / "script.json"
+    write_json(spath, script)
+    rc = main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+
 # -- detect ------------------------------------------------------------------------
 
 def test_detect_step_stream_emits_event_near_fifty(tmp_path, step_csv, config_path, capsys):
@@ -215,6 +229,19 @@ def test_detect_tune_requires_truth(tmp_path, step_csv, config_path, capsys):
     assert "--truth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train_frac", ["2", "0"])
+def test_detect_tune_rejects_train_frac_outside_unit_interval(tmp_path, step_csv,
+                                                              config_path, capsys,
+                                                              train_frac):
+    tpath = tmp_path / "truth.json"
+    write_json(tpath, {"locations": [50]})
+    rc = main(["detect", "--data", str(step_csv), "--config", str(config_path),
+               "--out", str(tmp_path / "run"), "--tune", "--truth", str(tpath),
+               "--train-frac", train_frac])
+    assert rc == 2
+    assert "error: train_frac must be in (0, 1]" in capsys.readouterr().err
+
+
 def test_detect_tune_runs_grid(tmp_path, step_csv, config_path, capsys):
     tpath = tmp_path / "truth.json"
     write_json(tpath, {"locations": [50]})
@@ -266,6 +293,16 @@ def test_score_directory_averages_runs(tmp_path, capsys):
     assert runs["r1"]["TPR"] == 0.0
     assert runs["mean"]["TPR"] == pytest.approx(0.5)
     assert (out_dir / "summary.md").exists()
+
+
+def test_score_rejects_negative_tolerance(tmp_path, capsys):
+    run = _write_run(tmp_path, "runs/r0", [51])
+    tpath = tmp_path / "truth.json"
+    write_json(tpath, {"locations": [50]})
+    rc = main(["score", "--events", str(run / "events.jsonl"), "--truth", str(tpath),
+               "--tolerance", "-5"])
+    assert rc == 2
+    assert "error: tolerance must be >= 0" in capsys.readouterr().err
 
 
 def test_score_empty_detections_vacuous_precision(tmp_path, capsys):
@@ -327,6 +364,16 @@ def test_bench_reports_timing(tmp_path, step_csv, config_path, capsys):
     assert result["points"] == 101
     assert result["read_s"] > 0
     assert result["runs"][0]["detections"] == 1
+
+
+@pytest.mark.parametrize("command", ["detect", "bench"])
+def test_reps_below_one_is_a_usage_error(tmp_path, step_csv, config_path, capsys, command):
+    argv = [command, "--data", str(step_csv), "--config", str(config_path),
+            "--out", str(tmp_path / "run"), "--reps", "0"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "error: argument --reps: must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -104,6 +104,64 @@ def test_config_round_trips():
     assert clone.to_dict() == cfg.to_dict()
 
 
+def _set_field(doc, field, value):
+    owner, name = (doc["model"], field[6:]) if field.startswith("model.") else (doc, field)
+    owner[name] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nu1", math.nan),                   # NaN fails every bound
+    ("nu2", True),                       # a bool is not a number
+    ("model.noise_std", "0.1"),          # a string where a number goes
+    ("model.fix_noise", "false"),        # a string where a bool goes
+    ("model.mean", "0"),                 # a mean that is not a list
+    ("model.mean", [math.nan]),
+    ("model.noise_std", -1),             # hyperparameter bounds, checked at from_dict
+    ("model.lengthscale", math.nan),
+    ("model.output_scale", 0.0),
+])
+def test_config_from_dict_names_the_bad_field(field, value):
+    doc = _set_field(step_config().to_dict(), field, value)
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+        DetectorConfig.from_dict(doc)
+
+
+def test_config_accepts_infinite_thresholds_and_numpy_scalars():
+    doc = _set_field(step_config().to_dict(), "nu1", math.inf)
+    doc.update(nu2=np.float64(1.5), k_max=np.int32(4))
+    doc["model"].update(noise_std=np.float32(0.25), mean=[np.int64(1)])
+    cfg = DetectorConfig.from_dict(doc)
+    assert (cfg.nu1, cfg.nu2, cfg.k_max, cfg.model.mean) == (math.inf, 1.5, 4, [1])
+
+
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=5)
+    # Integers stay small: a valid config asking for 2**40 channels really
+    # allocates that many prior means.
+    | st.integers(-2**16, 2**16),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_FIELDS = [None] + list(DetectorConfig().to_dict()) + [
+    f"model.{name}" for name in DetectorConfig().to_dict()["model"]]
+
+
+@given(field=st.sampled_from(_FIELDS), value=_JSON_LIKE)
+@settings(max_examples=300, deadline=None)
+def test_config_from_dict_builds_or_raises_config_error(field, value):
+    # field None stands for the whole document
+    doc = value if field is None else _set_field(step_config().to_dict(), field, value)
+    try:
+        cfg = DetectorConfig.from_dict(doc)
+    except ConfigError:
+        return
+    Detector(cfg)  # a built config's priors are valid
+    doc = cfg.to_dict()
+    assert not any(v != v for v in [*doc.values(), *doc["model"].values()])  # no NaN
+    assert DetectorConfig.from_dict(doc) == cfg
+
+
 # -- step stream ------------------------------------------------------------------
 
 def test_step_stream_detects_one_change_near_fifty():

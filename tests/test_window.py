@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gocpd.errors import NonContiguousBatch
 from gocpd.window import TimeSeriesWindow
 
 
@@ -51,6 +52,8 @@ def test_extend_requires_contiguity():
     assert joined.end_index == 4
     gap = TimeSeriesWindow(np.arange(2.0), np.ones(2), start_index=5)
     with pytest.raises(ValueError):
+        a.extend(gap)
+    with pytest.raises(NonContiguousBatch, match="next starts at 5"):
         a.extend(gap)
 
 
