@@ -28,7 +28,7 @@ import numpy as np
 
 from . import datagen
 from .detector import Detector, DetectorConfig, grid_search_thresholds, run_stream
-from .errors import ConfigError, GocpdError
+from .errors import ConfigError, GocpdError, is_number
 from .fileio import (read_json, read_jsonl, read_series_csv, write_json,
                      write_jsonl, write_series_csv)
 from .metrics import (aggregate_instrumentation, match_detections, rates,
@@ -50,7 +50,15 @@ def _load_script(args) -> datagen.RegimeScript:
     missing = [name for name in required if name not in doc]
     if missing:
         raise ConfigError(f"{args.script}: script missing field(s): {', '.join(missing)}")
-    base = {**datagen.DEFAULT_BASE, "kernel": "rbf", **doc.get("base", {})}
+    base = doc.get("base", {})
+    if not isinstance(base, dict):
+        raise ConfigError(f"{args.script}: base must be a JSON object")
+    for name, value in base.items():
+        if name not in datagen.DEFAULT_BASE:
+            raise ConfigError(f"base.{name} is not one of {', '.join(datagen.DEFAULT_BASE)}")
+        if name != "kernel" and not (is_number(value) and -np.inf < value < np.inf):
+            raise ConfigError(f"base.{name} must be a finite number, got {value!r}")
+    base = {**datagen.DEFAULT_BASE, **base}
     params = ModelParams(mean=[base["mean"]], noise_std=base["noise_std"],
                          lengthscale=base["lengthscale"], output_scale=base["output_scale"],
                          kernel=Kernel(base["kernel"]))

@@ -22,7 +22,7 @@ VARIABLE_PARAMS = ("lengthscale", "output_scale", "mean", "noise_std")
 
 # Segment boundary grid shared by the bundled 1000-point scripts.
 DEFAULT_CHANGE_LOCATIONS = [0, 60, 150, 240, 450, 650, 800, 890]
-DEFAULT_BASE = dict(lengthscale=1.0, output_scale=0.5, mean=1.0, noise_std=0.01)
+DEFAULT_BASE = dict(lengthscale=1.0, output_scale=0.5, mean=1.0, noise_std=0.01, kernel="rbf")
 
 # Per-segment factors for each scripted hyperparameter change.
 FACTOR_TABLES = {

@@ -65,7 +65,10 @@ class ModelSpec:
         check_fields(self, "model.", family=("iid", "gp"), kernel=("rbf", "dirac"),
                      channels=">= 1", min_fit_points=">= 1", max_fit_iters=">= 0")
         if len(self.mean) == 1:
-            self.mean = self.mean * self.channels
+            try:
+                self.mean = self.mean * self.channels
+            except (OverflowError, MemoryError) as exc:
+                raise ConfigError(f"model.channels is too large, got {self.channels}") from exc
         if len(self.mean) != self.channels:
             raise ConfigError(f"model.mean has {len(self.mean)} entries for "
                               f"{self.channels} channels")

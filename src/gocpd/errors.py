@@ -47,7 +47,7 @@ def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
+def is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
@@ -56,12 +56,12 @@ def _is_number(value) -> bool:
 # comparison, which a huge int passes).
 _KINDS = {
     "int": ("an integer", _is_int),
-    "float": ("a number", _is_number),
+    "float": ("a number", is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "list[int]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
     "list[float]": ("a list of finite numbers", lambda v: isinstance(v, list) and all(
-        _is_number(x) and -math.inf < x < math.inf for x in v)),
+        is_number(x) and -math.inf < x < math.inf for x in v)),
 }
 
 

@@ -365,6 +365,8 @@ class ObservationModel:
     # Forward and backward sums of the last fitted window, where kept.
     prefix: PrefixSums | None = None
     suffix: PrefixSums | None = None
+    # Hyperparameters fitted by gradient ascent, which starts where the last fit ended.
+    fitted: tuple[str, ...] = ()
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 3):
         self.prior_params = prior_params.copy()
@@ -447,20 +449,21 @@ class IidGaussianModel(ObservationModel):
         self._check_window(window)
         self._check_fit_size(window)
         y, p = window.outputs, self.params
-        mean = y.mean(axis=0)
+        # The ufunc reductions np.mean and np.sum make, without their wrappers.
+        mean = np.add.reduce(y, 0) / len(y)
         noise_std = p.noise_std
         if not self.fix_noise:
-            noise_std = max(float(np.sqrt(np.mean((y - mean)**2))), _NOISE_FLOOR)
+            r = y - mean
+            noise_std = max(math.sqrt(np.add.reduce(r * r, None) / r.size), _NOISE_FLOOR)
         # Built directly: dataclasses.replace costs about 3x more per fit.
         self.params = ModelParams(mean, noise_std, p.lengthscale, p.output_scale, p.kernel)
         return self
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
         self._check_window(window)
-        resid = window.outputs - self.params.mean
+        r = window.outputs - self.params.mean
         var = self.params.noise_std**2
-        n_total = resid.size
-        return float(-0.5 * (np.sum(resid**2) / var + n_total * (math.log(var) + LOG_2PI)))
+        return float(-0.5 * (np.add.reduce(r * r, None) / var + r.size * (math.log(var) + LOG_2PI)))
 
     def posterior(self, query_inputs, train: TimeSeriesWindow | None = None) -> PosteriorSummary:
         # Conditioning is a no-op for independent observations.
@@ -475,8 +478,8 @@ class IidGaussianModel(ObservationModel):
     def mahalanobis(self, window: TimeSeriesWindow) -> float:
         # Diagonal covariance; skip the generic factorization.
         self._check_window(window)
-        resid = (window.outputs - self.params.mean) / self.params.noise_std
-        return float(np.sqrt(np.sum(resid**2)))
+        r = (window.outputs - self.params.mean) / self.params.noise_std
+        return math.sqrt(np.add.reduce(r * r, None))
 
 
 class GaussianProcessModel(ObservationModel):

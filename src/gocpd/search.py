@@ -5,8 +5,8 @@ The split metric for a window spanning ``[start, t]`` and a split point
 ``[start, tau - 1]`` and ``[tau, t]``. For data containing a single change
 the metric is unimodal in ``tau``, so its argmax can be located with a
 discrete ternary search in ``O(log n)`` evaluations instead of a linear
-scan. Searches are warm-started from the best split of the previous
-iteration, the saved candidate. It truncates the domain, since the optimum
+scan. Searches start from the best split of the previous iteration, the
+saved candidate. It truncates the domain, since the optimum
 never moves left of it, so it is the domain's left edge ``lo`` whenever
 that edge is admissible, and the search compares ``score(lo)`` against its
 probes at every level.
@@ -51,11 +51,13 @@ class SplitScorer:
     ``prefix`` and ``suffix``, when given, hold the forward and backward
     ``PrefixSums`` of ``window`` under the models' fixed hyperparameters:
     a split then reads one entry of each one's ``scores``, with no slice,
-    fit or array arithmetic. Otherwise each evaluation fits both models,
-    warm-starting from the nearest previously evaluated split of this
-    iteration (or, for the first evaluation, from the models' current
-    parameters); ``fits`` keeps those parameters. Fits never write to the
-    parameters they start from, so they are handed back by reference.
+    fit or array arithmetic. Otherwise each evaluation fits both models on
+    views of the window. Models that learn hyperparameters (a non-empty
+    ``fitted``) warm-start from the nearest previously evaluated split of
+    this iteration (or, for the first evaluation, from their current
+    parameters); ``fits`` keeps those parameters, and stays empty for
+    other models, whose fits ignore where they start. Fits never write to
+    the parameters they start from, so they are handed back by reference.
     """
 
     def __init__(self, window: TimeSeriesWindow, left_model: ObservationModel,
@@ -77,7 +79,8 @@ class SplitScorer:
         if not (win.start_index < tau <= win.end_index):
             raise ValueError(f"split {tau} outside window ({win.start_index}, {win.end_index}]")
         if self.prefix is None:
-            if self.fits:
+            warm = self.left_model.fitted
+            if warm and self.fits:
                 nearest = min(self.fits, key=lambda seen: abs(seen - tau))
                 self.left_model.params, self.right_model.params = self.fits[nearest]
             left = win.slice(win.start_index, tau - 1)
@@ -86,7 +89,8 @@ class SplitScorer:
             self.right_model.fit(right)
             value = float(self.left_model.avg_log_likelihood(left)
                           + self.right_model.avg_log_likelihood(right))
-            self.fits[tau] = (self.left_model.params, self.right_model.params)
+            if warm:
+                self.fits[tau] = (self.left_model.params, self.right_model.params)
         else:
             m, r = tau - win.start_index, win.end_index - tau + 1
             if m < self.left_model.min_fit_points or r < self.right_model.min_fit_points:

@@ -41,9 +41,14 @@ class TimeSeriesWindow:
             raise ValueError(f"inputs ({len(x)}) and outputs ({len(y)}) differ in length")
         if len(x) == 0:
             raise ValueError("window must contain at least one observation")
-        self.inputs = x
-        self.outputs = y
-        self.start_index = int(start_index)
+        self.inputs, self.outputs, self.start_index = x, y, int(start_index)
+
+    @classmethod
+    def _unchecked(cls, inputs: np.ndarray, outputs: np.ndarray, start_index: int):
+        """A window of 2-D arrays that already passed ``__init__``'s checks."""
+        window = object.__new__(cls)
+        window.inputs, window.outputs, window.start_index = inputs, outputs, start_index
+        return window
 
     def __len__(self) -> int:
         return len(self.outputs)
@@ -65,14 +70,14 @@ class TimeSeriesWindow:
         return np.arange(self.start_index, self.start_index + len(self))
 
     def slice(self, a: int, b: int) -> "TimeSeriesWindow":
-        """Return the sub-window for absolute timestamps ``a..b`` (inclusive)."""
+        """The sub-window for absolute timestamps ``a..b`` (inclusive), of views."""
         if a < self.start_index or b > self.end_index or a > b:
             raise IndexError(
                 f"slice [{a}, {b}] outside window [{self.start_index}, {self.end_index}]"
             )
         i = a - self.start_index
         j = b - self.start_index + 1
-        return TimeSeriesWindow(self.inputs[i:j], self.outputs[i:j], start_index=a)
+        return TimeSeriesWindow._unchecked(self.inputs[i:j], self.outputs[i:j], int(a))
 
     def extend(self, other: "TimeSeriesWindow") -> "TimeSeriesWindow":
         """Concatenate a continuation; raise NonContiguousBatch unless it is contiguous."""
@@ -81,11 +86,8 @@ class TimeSeriesWindow:
                 f"windows not contiguous: this ends at {self.end_index}, "
                 f"next starts at {other.start_index}"
             )
-        return TimeSeriesWindow(
-            np.vstack([self.inputs, other.inputs]),
-            np.vstack([self.outputs, other.outputs]),
-            start_index=self.start_index,
-        )
+        x, y = np.vstack([self.inputs, other.inputs]), np.vstack([self.outputs, other.outputs])
+        return TimeSeriesWindow._unchecked(x, y, self.start_index)
 
     def __repr__(self) -> str:
         return (

@@ -123,6 +123,34 @@ def test_generate_script_bad_field_is_named(tmp_path, capsys, field, value):
     assert f"error: {field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base, named", [
+    ([0.1], "base must be"), ({"nosie_std": 0.1}, "base.nosie_std is not one of"),
+    ({"noise_std": "0.1"}, "base.noise_std must be"), ({"mean": "1"}, "base.mean must be"),
+    ({"mean": float("nan")}, "base.mean must be"), ({"lengthscale": True}, "base.lengthscale"),
+])
+def test_generate_script_bad_base_is_named(tmp_path, capsys, base, named):
+    script = {"length": 1000, "change_locations": [0, 500], "vary": "mean",
+              "factors": [0, 1], "base": base}
+    spath = tmp_path / "script.json"
+    spath.write_text(json.dumps(script))
+    rc = main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_script_base_overrides_the_defaults(tmp_path):
+    script = {"length": 200, "change_locations": [0, 100], "vary": "mean",
+              "factors": [0, 1], "base": {"mean": 2, "noise_std": 0.5, "kernel": "dirac"}}
+    spath = tmp_path / "script.json"
+    spath.write_text(json.dumps(script))
+    assert main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")]) == 0
+    y = read_series_csv(tmp_path / "x" / "series.csv").outputs[:, 0]
+    # The Dirac kernel's unit variance plus noise 0.5: the second segment has
+    # mean 2 and sd sqrt(1.25), about 1.12.
+    assert abs(y[100:].mean() - 2.0) < 0.3 and 0.9 < y[100:].std() < 1.35
+
+
 # -- detect ------------------------------------------------------------------------
 
 def test_detect_step_stream_emits_event_near_fifty(tmp_path, step_csv, config_path, capsys):

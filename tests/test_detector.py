@@ -65,6 +65,14 @@ def test_config_validation():
             DetectorConfig.from_dict(doc)
 
 
+def test_config_rejects_a_channel_count_past_the_index_range():
+    # 10**30 cannot be an index, so nothing is allocated for it.
+    doc = DetectorConfig().to_dict()
+    doc["model"].update(channels=10**30, mean=[0.0])
+    with pytest.raises(ConfigError, match="model.channels"):
+        DetectorConfig.from_dict(doc)
+
+
 @pytest.mark.parametrize("field", ["k_max", "t_ini", "wait", "search_tol", "batch_size",
                                    "model.channels", "model.min_fit_points",
                                    "model.max_fit_iters"])

@@ -150,6 +150,32 @@ def test_iid_fit_recovers_sample_mean_exactly():
     assert m.params.mean[0] == pytest.approx(y.mean(), abs=1e-15)
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("fix_noise", [True, False])
+@pytest.mark.parametrize("level", [0.0, 1e3])
+def test_iid_model_equals_the_numpy_formulas_exactly(channels, fix_noise, level):
+    # The oracle is the textbook numpy: y.mean(axis=0) and np.sum(resid**2).
+    rng = np.random.default_rng(7)
+    y = level + rng.normal(0.0, 0.3, size=(60, channels))
+    whole = TimeSeriesWindow(np.arange(60.0), y, start_index=100)
+    segment = whole.slice(117, 151)
+    prior = ModelParams(mean=[0.5] * channels, noise_std=0.2)
+    m = IidGaussianModel(prior, fix_noise=fix_noise)
+    m.fit(segment)
+    out = segment.outputs
+    mean = out.mean(axis=0)
+    noise = 0.2 if fix_noise else max(float(np.sqrt(np.mean((out - mean)**2))), 1e-6)
+    assert np.array_equal(m.params.mean, mean)
+    assert m.params.noise_std == noise
+    for w in (segment, whole.slice(100, 116), whole):
+        resid = w.outputs - mean
+        ll = float(-0.5 * (np.sum(resid**2) / noise**2
+                           + resid.size * (math.log(noise**2) + LOG_2PI)))
+        assert m.log_likelihood(w) == ll
+        assert m.avg_log_likelihood(w) == ll / len(w)
+        assert m.mahalanobis(w) == float(np.sqrt(np.sum((resid / noise)**2)))
+
+
 def test_fit_rejects_short_windows():
     m = gp(min_fit_points=3)
     with pytest.raises(TooFewPoints):

@@ -168,6 +168,47 @@ def test_cached_split_params_unchanged_after_learned_gp_search():
         assert params_equal(right_params, right)
 
 
+class WarmStartingScorer(SplitScorer):
+    """Oracle: every evaluation fits from the nearest evaluated split's parameters."""
+
+    def evaluate(self, tau):
+        if tau not in self.cache:
+            if self.fits:
+                nearest = min(self.fits, key=lambda seen: abs(seen - tau))
+                self.left_model.params, self.right_model.params = self.fits[nearest]
+            left = self.window.slice(self.window.start_index, tau - 1)
+            right = self.window.slice(tau, self.window.end_index)
+            self.left_model.fit(left)
+            self.right_model.fit(right)
+            self.cache[tau] = float(self.left_model.avg_log_likelihood(left)
+                                    + self.right_model.avg_log_likelihood(right))
+            self.fits[tau] = (self.left_model.params, self.right_model.params)
+        return self.cache[tau]
+
+
+def off_grid_fixed_gp():
+    return GaussianProcessModel(
+        ModelParams(mean=[0.0], noise_std=0.2, lengthscale=2.0, output_scale=0.5,
+                    kernel=Kernel.RBF), fix_noise=True, fix_kernel=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixed_iid(noise=0.1),
+    lambda: IidGaussianModel(ModelParams(mean=[0.0], noise_std=0.1), min_fit_points=3),
+    off_grid_fixed_gp,
+])
+def test_fits_that_ignore_their_start_are_not_warm_started(make):
+    w = step_window(n_left=25, n_right=30, noise=0.2, seed=4)
+    # Off the grid: the fixed GP fits each segment with a fresh factor.
+    w = TimeSeriesWindow(np.cumsum(np.linspace(0.5, 1.5, len(w))), w.outputs)
+    scorer, oracle = SplitScorer(w, make(), make()), WarmStartingScorer(w, make(), make())
+    order = [27, 10, 40, 26, 27, 3, 52, 33, 10, 18]
+    assert [scorer.evaluate(tau) for tau in order] == [oracle.evaluate(tau) for tau in order]
+    assert scorer.fits == {} and len(oracle.fits) == len(scorer.cache) == 8
+    assert params_equal(scorer.left_model.params, oracle.left_model.params)
+    assert params_equal(scorer.right_model.params, oracle.right_model.params)
+
+
 # -- ternary_argmax over real windows ------------------------------------------
 
 def test_step_data_candidate_near_true_change():

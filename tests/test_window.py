@@ -24,6 +24,19 @@ def test_slice_is_inclusive_on_both_ends():
     assert s.outputs[-1, 0] == 7.0
 
 
+def test_slice_returns_views_with_an_int_start():
+    w = TimeSeriesWindow(np.arange(10.0), np.arange(20.0).reshape(10, 2), start_index=5)
+    for s in (w.slice(np.int64(7), np.int64(11)), w.slice(7, 11).slice(8, 8)):
+        assert type(s.start_index) is int
+        assert s.inputs.ndim == s.outputs.ndim == 2
+        assert np.shares_memory(s.inputs, w.inputs)
+        assert np.shares_memory(s.outputs, w.outputs)
+        assert s.outputs[0, 1] == w.outputs[s.start_index - 5, 1]
+    assert len(w.slice(7, 11)) == 5
+    with pytest.raises(IndexError):
+        w.slice(7, 11).slice(6, 8)
+
+
 def test_slice_bounds_checked():
     w = TimeSeriesWindow(np.arange(5.0), np.zeros(5), start_index=5)
     with pytest.raises(IndexError):
