@@ -44,24 +44,34 @@ def _load_script(args) -> datagen.RegimeScript:
     doc = read_json(args.script)
     if not isinstance(doc, dict):
         raise ConfigError(f"{args.script}: script must be a JSON object")
+    required = ("length", "change_locations", "vary", "factors")
+    known = ("preset", "seed") if "preset" in doc else required + ("seed", "base")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"{args.script}: script has unknown field(s): {', '.join(unknown)}")
     if "preset" in doc:
         return datagen.standard_script(doc["preset"], seed=doc.get("seed", args.seed))
-    required = ("length", "change_locations", "vary", "factors")
     missing = [name for name in required if name not in doc]
     if missing:
         raise ConfigError(f"{args.script}: script missing field(s): {', '.join(missing)}")
     base = doc.get("base", {})
     if not isinstance(base, dict):
         raise ConfigError(f"{args.script}: base must be a JSON object")
+    kinds = [kind.value for kind in Kernel]
     for name, value in base.items():
         if name not in datagen.DEFAULT_BASE:
             raise ConfigError(f"base.{name} is not one of {', '.join(datagen.DEFAULT_BASE)}")
+        if name == "kernel" and value not in kinds:
+            raise ConfigError(f"base.kernel must be one of {', '.join(kinds)}, got {value!r}")
         if name != "kernel" and not (is_number(value) and -np.inf < value < np.inf):
             raise ConfigError(f"base.{name} must be a finite number, got {value!r}")
     base = {**datagen.DEFAULT_BASE, **base}
-    params = ModelParams(mean=[base["mean"]], noise_std=base["noise_std"],
-                         lengthscale=base["lengthscale"], output_scale=base["output_scale"],
-                         kernel=Kernel(base["kernel"]))
+    try:
+        params = ModelParams(mean=[base["mean"]], noise_std=base["noise_std"],
+                             lengthscale=base["lengthscale"], output_scale=base["output_scale"],
+                             kernel=Kernel(base["kernel"]))
+    except ValueError as exc:  # each message starts with the field's name
+        raise ConfigError(f"base.{exc}") from None
     return datagen.RegimeScript(**{name: doc[name] for name in required},
                                 seed=doc.get("seed", args.seed), base_params=params)
 

@@ -38,12 +38,14 @@ so the prefix sums of one window's innovations score each of its prefixes
 exactly: a split's left segment, the criterion's left segment, the window.
 
 A GP model whose hyperparameters are all fixed owns a ``UniformGramFactor``,
-a growing lower Cholesky factor of the noisy Gram on the grid ``0, dx,
-2dx, ...``. A stationary kernel depends only on input differences, so on a
-segment whose inputs are ``x[0] + k * dx`` the noisy Gram and its factor
-are leading blocks of the grid's, exactly. Learned hyperparameters,
-non-uniform inputs, and a grid factor whose growth fails without jitter
-all factor afresh with ``chol_with_jitter``, which stays the reference.
+the lower Cholesky factor of the noisy Gram on the grid ``0, dx, 2dx, ...``:
+one read-only contiguous array of exactly the longest segment's size, 8 n^2
+bytes per model (two arrays only while a growth is in progress). A
+stationary kernel depends only on input differences, so on a segment whose
+inputs are ``x[0] + k * dx`` the noisy Gram and its factor are leading
+blocks of the grid's, exactly. Learned hyperparameters, non-uniform
+inputs, and a grid factor whose growth fails without jitter all factor
+afresh with ``chol_with_jitter``, which stays the reference.
 
 On the grid ``fit`` also keeps backward sums. The grid's noisy Gram ``K``
 is symmetric Toeplitz, hence persymmetric: ``J K J = K`` with ``J`` the
@@ -210,14 +212,16 @@ def noisy_gram(x: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 class UniformGramFactor:
-    """Growing lower Cholesky factor of the noisy Gram on ``0, dx, 2dx, ...``.
+    """Lower Cholesky factor of the noisy Gram on ``0, dx, 2dx, ...``.
 
     Each GP model whose hyperparameters are all fixed owns one. It is bound
     to the first hyperparameters and spacing ``dx`` it is asked for; other
     requests get ``None``. A segment is on the grid when each ``x[k] - x[0]``
     is ``k * dx`` within 1e-12 relative plus the rounding of ``x`` itself,
-    so inputs such as ``0.1 * t`` qualify at any offset. The factor grows
-    by a bordered block update that computes only the new Gram columns. A
+    so inputs such as ``0.1 * t`` qualify at any offset. Each new size
+    regrows the factor once by a bordered block update that computes only
+    the new Gram columns; ``leading`` returns the factor itself for a
+    segment of its size and copies the leading block for a shorter one. A
     growth that fails without jitter is not retried at that size or above,
     and those segments take the dense path.
     """
@@ -245,31 +249,26 @@ class UniformGramFactor:
         self.key, self.dx = key, dx
         if n > self.size and not self._grow(n, params):
             return None
-        return np.ascontiguousarray(self._lower[:n, :n])
+        return self._lower if n == self.size else self._lower[:n, :n].copy()
 
     def _grow(self, n: int, params: ModelParams) -> bool:
         if self.limit is not None and n >= self.limit:
             return False
         m = self.size
-        if n > len(self._lower):
-            grown = np.zeros((max(n, 2 * len(self._lower)),) * 2)
-            grown[:m, :m] = self._lower[:m, :m]
-            self._lower = grown
         grid = np.arange(n)[:, None] * self.dx
         k_new = gram(grid, grid[m:], params)
         k_new[m:] += params.noise_std**2 * np.eye(n - m)
-        if m:
-            l21 = _linalg().solve_triangular(self._lower[:m, :m], k_new[:m], lower=True).T
-        else:
-            l21 = np.zeros((n, 0))
+        l21 = _linalg().solve_triangular(self._lower, k_new[:m], lower=True).T
         try:
             l22 = cholesky(k_new[m:] - l21 @ l21.T, lower=True)
         except np.linalg.LinAlgError:
             self.limit = n
             return False
-        self._lower[m:n, :m] = l21
-        self._lower[m:n, m:n] = l22
-        self.size = n
+        lower = np.zeros((n, n))
+        lower[:m, :m] = self._lower
+        lower[m:, :m], lower[m:, m:] = l21, l22
+        lower.flags.writeable = False
+        self._lower, self.size = lower, n
         return True
 
 

@@ -127,6 +127,10 @@ def test_generate_script_bad_field_is_named(tmp_path, capsys, field, value):
     ([0.1], "base must be"), ({"nosie_std": 0.1}, "base.nosie_std is not one of"),
     ({"noise_std": "0.1"}, "base.noise_std must be"), ({"mean": "1"}, "base.mean must be"),
     ({"mean": float("nan")}, "base.mean must be"), ({"lengthscale": True}, "base.lengthscale"),
+    ({"kernel": 5}, "error: base.kernel must be one of rbf, dirac, got 5"),
+    ({"kernel": "matern"}, "error: base.kernel must be"),
+    ({"noise_std": -1}, "error: base.noise_std must be > 0"),
+    ({"lengthscale": 0}, "error: base.lengthscale must be > 0"),
 ])
 def test_generate_script_bad_base_is_named(tmp_path, capsys, base, named):
     script = {"length": 1000, "change_locations": [0, 500], "vary": "mean",
@@ -137,6 +141,28 @@ def test_generate_script_bad_base_is_named(tmp_path, capsys, base, named):
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("script, named", [
+    ({"length": 200, "change_locations": [0, 100], "vary": "mean", "factors": [0, 1],
+      "nosie_std": 3}, "unknown field(s): nosie_std"),
+    ({"preset": "mean", "sede": 4}, "unknown field(s): sede"),
+    ({"preset": "mean", "length": 200, "base": {}}, "unknown field(s): base, length"),
+])
+def test_generate_script_unknown_key_is_named(tmp_path, capsys, script, named):
+    spath = tmp_path / "script.json"
+    spath.write_text(json.dumps(script))
+    rc = main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_script_preset_form_takes_a_seed(tmp_path):
+    spath = tmp_path / "script.json"
+    spath.write_text(json.dumps({"preset": "mean", "seed": 4}))
+    assert main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")]) == 0
+    assert json.loads((tmp_path / "x" / "truth.json").read_text())["seed"] == 4
 
 
 def test_generate_script_base_overrides_the_defaults(tmp_path):

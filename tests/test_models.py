@@ -8,7 +8,7 @@ from scipy.stats import multivariate_normal
 from conftest import params_equal
 
 import gocpd.models as models
-from gocpd.detector import Detector, DetectorConfig, ModelSpec
+from gocpd.detector import Detector, DetectorConfig, ModelSpec, stream_batches
 from gocpd.errors import NonPositiveDefinite, TooFewPoints
 from gocpd.models import (GaussianProcessModel, IidGaussianModel, Kernel,
                           ModelParams, PrefixSums, chol_with_jitter, noisy_gram)
@@ -511,15 +511,79 @@ def test_grid_factor_growth_failure_falls_back_to_jitter():
     segment = grid_window(40, 1, seed=24)
     fast, dense = fixed_gp(**settings), fixed_gp(dense=True, **settings)
     factor = fast.gram_factor
+    assert_models_agree(fast, dense, segment.slice(0, 5), rel=1e-9)  # six points factor
+    lower, size = factor._lower, factor.size
     with pytest.raises(np.linalg.LinAlgError):
         cholesky(noisy_gram(segment.inputs, fast.params), lower=True)
     assert_models_agree(fast, dense, segment, rel=0)
     assert factor.limit is not None and factor.size < len(segment)
     assert fast.prefix is None and fast.suffix is None  # no whitening either
+    # The failed growth leaves the factor as it was.
+    assert factor._lower is lower and factor.size == size == 6
     # Beyond the failed size the factor is never grown again.
     limit = factor.limit
-    assert_models_agree(fast, dense, grid_window(45, 1, seed=25), rel=0)
+    later = grid_window(45, 1, seed=25)
+    assert_models_agree(fast, dense, later, rel=0)
     assert factor.limit == limit
+    # A later segment no longer than the factor still takes the grid path.
+    for short in (later.slice(30, 35), later.slice(40, 42)):
+        assert_models_agree(fast, dense, short, rel=1e-9)
+        assert fast.prefix is not None and fast.suffix is not None
+
+
+def assert_factor_close(got, x, params):
+    want = chol_with_jitter(noisy_gram(x, params))
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_grid_factor_is_exact_size_and_read_only():
+    det = Detector(DetectorConfig(k_max=10**9, model=ModelSpec(
+        family="gp", lengthscale=2.0, output_scale=0.9, noise_std=0.3,
+        fix_kernel=True, fix_output_scale=True, fix_noise=True)))
+    y = np.random.default_rng(26).normal(size=600) + (np.arange(600) >= 300)
+    for batch in stream_batches(TimeSeriesWindow(np.arange(600.0), y), 1):
+        det.step(batch)
+    factor = det.m0.gram_factor
+    assert det.events == [] and factor.size == 600
+    assert factor._lower.shape == (600, 600) and factor._lower.nbytes == 8 * 600**2
+    assert factor._lower.flags.c_contiguous and not factor._lower.flags.writeable
+
+
+def test_grid_factor_leading_grows_and_copies_exactly():
+    fast = fixed_gp()
+    factor, params = fast.gram_factor, fast.params
+    x = 0.5 * np.arange(200.0)[:, None] + 3.0
+    assert_factor_close(factor.leading(x[:120], params), x[:120], params)
+    grown = factor.leading(x[:121], params)  # growth by one point
+    assert factor.size == 121 and grown is factor._lower
+    assert_factor_close(grown, x[:121], params)
+    grown = factor.leading(x[:128], params)  # growth by a batch of 7
+    assert factor.size == 128 and grown is factor._lower
+    assert_factor_close(grown, x[:128], params)
+    # A shorter segment at a later offset, as after a detection reset, gets
+    # a copy of the leading block; the factor is left as it was.
+    short = factor.leading(x[150:190], params)
+    assert factor.size == 128 and short is not factor._lower
+    assert not np.shares_memory(short, factor._lower) and short.flags.c_contiguous
+    assert_factor_close(short, x[150:190], params)
+
+
+def test_grid_factor_block_cannot_be_written():
+    segment = grid_window(80, 2, seed=27)
+    fast = fixed_gp(channels=2)
+    fast.fit(segment)
+    lower = fast.gram_factor.leading(segment.inputs, fast.params)
+    assert lower is fast.gram_factor._lower
+    with pytest.raises(ValueError):
+        lower[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        lower *= 2.0
+    fresh = fixed_gp(channels=2)
+    for model in (fast, fresh):
+        model.fit(segment)
+    assert fast.prefix.scores == fresh.prefix.scores
+    assert fast.suffix.scores == fresh.suffix.scores
 
 
 # -- prefix sums (one whitening per window) vs slice + fit -------------------------
