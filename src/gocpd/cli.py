@@ -28,12 +28,11 @@ import numpy as np
 
 from . import datagen
 from .detector import Detector, DetectorConfig, grid_search_thresholds, run_stream
-from .errors import ConfigError, GocpdError, is_number
-from .fileio import (read_json, read_jsonl, read_series_csv, write_json,
+from .errors import ConfigError, GocpdError, is_int
+from .fileio import (numbered_jsonl, read_json, read_series_csv, write_json,
                      write_jsonl, write_series_csv)
 from .metrics import (aggregate_instrumentation, match_detections, rates,
                       summary_markdown)
-from .models import ModelParams, Kernel
 
 PRESET_SCRIPTS = tuple(datagen.FACTOR_TABLES)
 
@@ -54,26 +53,9 @@ def _load_script(args) -> datagen.RegimeScript:
     missing = [name for name in required if name not in doc]
     if missing:
         raise ConfigError(f"{args.script}: script missing field(s): {', '.join(missing)}")
-    base = doc.get("base", {})
-    if not isinstance(base, dict):
-        raise ConfigError(f"{args.script}: base must be a JSON object")
-    kinds = [kind.value for kind in Kernel]
-    for name, value in base.items():
-        if name not in datagen.DEFAULT_BASE:
-            raise ConfigError(f"base.{name} is not one of {', '.join(datagen.DEFAULT_BASE)}")
-        if name == "kernel" and value not in kinds:
-            raise ConfigError(f"base.kernel must be one of {', '.join(kinds)}, got {value!r}")
-        if name != "kernel" and not (is_number(value) and -np.inf < value < np.inf):
-            raise ConfigError(f"base.{name} must be a finite number, got {value!r}")
-    base = {**datagen.DEFAULT_BASE, **base}
-    try:
-        params = ModelParams(mean=[base["mean"]], noise_std=base["noise_std"],
-                             lengthscale=base["lengthscale"], output_scale=base["output_scale"],
-                             kernel=Kernel(base["kernel"]))
-    except ValueError as exc:  # each message starts with the field's name
-        raise ConfigError(f"base.{exc}") from None
     return datagen.RegimeScript(**{name: doc[name] for name in required},
-                                seed=doc.get("seed", args.seed), base_params=params)
+                                seed=doc.get("seed", args.seed),
+                                base_params=datagen.base_params(doc.get("base", {})))
 
 
 def cmd_generate(args) -> int:
@@ -90,6 +72,15 @@ def cmd_generate(args) -> int:
     })
     print(f"wrote {len(window)} points, {len(truth)} change locations -> {out}")
     return 0
+
+
+def _read_truth(path) -> list[int]:
+    """The ``locations`` of a truth JSON file, which must be a list of integers."""
+    doc = read_json(path)
+    locations = doc.get("locations") if isinstance(doc, dict) else None
+    if not (isinstance(locations, list) and all(map(is_int, locations))):
+        raise ConfigError(f"{path}: truth must be an object whose locations is a list of integers")
+    return locations
 
 
 def _load_detector_config(path) -> DetectorConfig:
@@ -131,7 +122,7 @@ def cmd_detect(args) -> int:
     if args.tune:
         if not args.truth:
             raise ConfigError("--tune requires --truth with labeled change locations")
-        truth = read_json(args.truth)["locations"]
+        truth = _read_truth(args.truth)
         nu_grid = (1.02, 1.05, 1.1, 1.2, 1.4, 1.7, 2.0)
         config = grid_search_thresholds(series, truth, config, nu_grid,
                                         train_frac=args.train_frac,
@@ -168,12 +159,22 @@ def _write_plot_csv(path, instrumentation: list[dict]) -> None:
 
 
 def _events_from(path: Path) -> list[int]:
-    records = read_jsonl(path)
-    return [r["change_point"] for r in records if r.get("kind") == "detection"]
+    """The change points of the detection records of an events JSONL file."""
+    detected = []
+    for lineno, record in numbered_jsonl(path):
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path}: line {lineno}: a record must be a JSON object")
+        if record.get("kind") == "detection":
+            change_point = record.get("change_point")
+            if not is_int(change_point):
+                raise ConfigError(f"{path}: line {lineno}: a detection record needs an "
+                                  f"integer change_point, got {change_point!r}")
+            detected.append(change_point)
+    return detected
 
 
 def cmd_score(args) -> int:
-    truth = read_json(args.truth)["locations"]
+    truth = _read_truth(args.truth)
     events_path = Path(args.events)
     if events_path.is_dir():
         run_files = sorted(events_path.glob("*/events.jsonl"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ZeroVariance, check_fields
+from .errors import ConfigError, ZeroVariance, check_fields, is_number
 from .models import Kernel, ModelParams, chol_with_jitter, noisy_gram
 from .window import TimeSeriesWindow, require_finite
 
@@ -35,6 +35,29 @@ FACTOR_TABLES = {
 MIN_SEGMENT_GAP = 50
 
 
+def base_params(base: dict) -> ModelParams:
+    """A script's base hyperparameters: ``DEFAULT_BASE`` with the fields of
+    ``base`` put over it. Raises ConfigError naming ``base.<field>`` for an
+    unknown field or a bad value."""
+    if not isinstance(base, dict):
+        raise ConfigError("base must be a JSON object")
+    kinds = [kind.value for kind in Kernel]
+    for name, value in base.items():
+        if name not in DEFAULT_BASE:
+            raise ConfigError(f"base.{name} is not one of {', '.join(DEFAULT_BASE)}")
+        if name == "kernel" and value not in kinds:
+            raise ConfigError(f"base.kernel must be one of {', '.join(kinds)}, got {value!r}")
+        if name != "kernel" and not (is_number(value) and -np.inf < value < np.inf):
+            raise ConfigError(f"base.{name} must be a finite number, got {value!r}")
+    base = {**DEFAULT_BASE, **base}
+    try:
+        return ModelParams(mean=[base["mean"]], noise_std=base["noise_std"],
+                           lengthscale=base["lengthscale"], output_scale=base["output_scale"],
+                           kernel=Kernel(base["kernel"]))
+    except ValueError as exc:  # each message starts with the field's name
+        raise ConfigError(f"base.{exc}") from None
+
+
 @dataclass
 class RegimeScript:
     """Recipe for one piecewise-stationary series.
@@ -49,13 +72,7 @@ class RegimeScript:
     vary: str
     factors: list[float]
     seed: int = 0
-    base_params: ModelParams = field(default_factory=lambda: ModelParams(
-        mean=[DEFAULT_BASE["mean"]],
-        noise_std=DEFAULT_BASE["noise_std"],
-        lengthscale=DEFAULT_BASE["lengthscale"],
-        output_scale=DEFAULT_BASE["output_scale"],
-        kernel=Kernel.RBF,
-    ))
+    base_params: ModelParams = field(default_factory=lambda: base_params({}))
 
     def __post_init__(self):
         check_fields(self, vary=VARIABLE_PARAMS, seed=">= 0")

@@ -14,7 +14,8 @@ stays within ``search_tol`` of both the previous candidate and the
 anchor dropped.
 Once ``k`` exceeds ``k_max`` the change is declared, the pre-change data
 dropped, and every model reset to its priors. ``candidate``,
-``candidate_score``, ``k`` and ``anchor`` are plain ``Detector`` fields.
+``candidate_score``, ``k`` and ``anchor`` are plain ``Detector`` fields,
+set together with ``last_change`` and the quiet period by ``_restart``.
 
 Steps (2)-(4) change no state until all of them have run. Every ``step``
 appends one iteration record with the same keys, written before any
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -152,14 +153,7 @@ class DetectionEvent:
     distance_right: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "detection",
-            "change_point": self.change_point,
-            "declared_at": self.declared_at,
-            "candidate_score": self.candidate_score,
-            "distance_left": self.distance_left,
-            "distance_right": self.distance_right,
-        }
+        return {"kind": "detection", **asdict(self)}
 
 
 class Detector:
@@ -175,12 +169,7 @@ class Detector:
         self.m1 = config.model.build()
         self.m2 = config.model.build()
         self.window: TimeSeriesWindow | None = None
-        self.last_change: int = 0
-        self.candidate: int | None = None
-        self.candidate_score: float | None = None
-        self.k: int = 0
-        self.anchor: int | None = None
-        self.wait_remaining: int = 0
+        self._restart(0, 0)
         self.events: list[DetectionEvent] = []
         self.instrumentation: list[dict] = []
 
@@ -192,7 +181,8 @@ class Detector:
         Numerical failures inside the search or the criterion degrade to a
         logged no-op; the stream stays alive. A batch holding NaN or inf,
         a first batch with the wrong channel count, or a later batch that
-        does not continue the window (``NonContiguousBatch``, from
+        does not continue the window (``NonContiguousBatch``) or whose input
+        or channel count differs from it (``ValueError``, both from
         ``TimeSeriesWindow.extend``) raises and leaves the detector as it was.
         """
         started = time.perf_counter()
@@ -256,7 +246,8 @@ class Detector:
         })
         if event is not None:
             self.events.append(event)
-            self._reset_after_detection(event.change_point, t)
+            self.window = self.window.slice(event.change_point, t)
+            self._restart(event.change_point, cfg.wait)
         return event
 
     def criterion(self, candidate: int) -> tuple[bool, float, float]:
@@ -283,17 +274,17 @@ class Detector:
         ok = d_left > self.config.nu1 and d_right > self.config.nu2
         return ok, d_left, d_right
 
-    def _reset_after_detection(self, change_point: int, t: int) -> None:
-        self.last_change = change_point
-        self.window = self.window.slice(change_point, t)
-        self.m0.reset()
-        self.m1.reset()
-        self.m2.reset()
-        self.candidate = None
-        self.candidate_score = None
-        self.k = 0
-        self.anchor = None
-        self.wait_remaining = self.config.wait
+    def _restart(self, change_point: int, wait: int) -> None:
+        """Begin a segment at ``change_point``: every model at its priors, no
+        candidate, and ``wait`` quiet points before the next fit."""
+        for model in (self.m0, self.m1, self.m2):
+            model.reset()
+        self.last_change: int = change_point
+        self.candidate: int | None = None
+        self.candidate_score: float | None = None
+        self.k: int = 0
+        self.anchor: int | None = None
+        self.wait_remaining: int = wait
 
 
 def stream_batches(window: TimeSeriesWindow, batch_size: int) -> Iterator[TimeSeriesWindow]:
@@ -354,7 +345,8 @@ def grid_search_thresholds(series: TimeSeriesWindow, truth: list[int],
     ``nu_grid`` entries are either scalars (symmetric thresholds) or
     ``(nu1, nu2)`` pairs. Each grid point is scored by the F1 of its
     matched detections on the train split; ties prefer stricter (larger)
-    thresholds. Returns a new config with the winning values.
+    thresholds. Returns a new config with the winning values. An empty
+    grid is a ValueError.
     """
     from .metrics import match_detections, rates
 
@@ -364,14 +356,16 @@ def grid_search_thresholds(series: TimeSeriesWindow, truth: list[int],
     train = series.slice(series.start_index, split_at)
     train_truth = [c for c in truth if c <= split_at]
 
+    nu_values = list(nu_grid)
     k_values = list(k_max_grid) if k_max_grid is not None else [base_config.k_max]
+    for name, grid in (("nu_grid", nu_values), ("k_max_grid", k_values)):
+        if not grid:
+            raise ValueError(f"{name} is empty")
     best = None
     for k_max in k_values:
-        for nu in nu_grid:
+        for nu in nu_values:
             nu1, nu2 = nu if isinstance(nu, (tuple, list)) else (nu, nu)
-            doc = base_config.to_dict()
-            doc.update(nu1=nu1, nu2=nu2, k_max=k_max)
-            candidate_config = DetectorConfig.from_dict(doc)
+            candidate_config = replace(base_config, nu1=nu1, nu2=nu2, k_max=k_max)
             events, _ = run_stream(train, candidate_config)
             detected = [e.change_point for e in events]
             report = match_detections(train_truth, detected, tolerance)

@@ -43,7 +43,7 @@ class ConfigError(GocpdError, ValueError):
     """A configuration document is missing fields or holds invalid values."""
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
@@ -55,11 +55,11 @@ def is_number(value) -> bool:
 # floats are numbers, a bool is not, and a list entry must be finite (by a
 # comparison, which a huge int passes).
 _KINDS = {
-    "int": ("an integer", _is_int),
+    "int": ("an integer", is_int),
     "float": ("a number", is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "list[int]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "list[int]": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_int, v))),
     "list[float]": ("a list of finite numbers", lambda v: isinstance(v, list) and all(
         is_number(x) and -math.inf < x < math.inf for x in v)),
 }

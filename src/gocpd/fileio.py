@@ -15,6 +15,7 @@ import csv
 import io
 import json
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -103,18 +104,21 @@ def write_jsonl(path, records: list[dict]) -> None:
             fh.write(canonical_json(record) + "\n")
 
 
-def read_jsonl(path) -> list[dict]:
-    records = []
+def numbered_jsonl(path) -> Iterator[tuple[int, object]]:
+    """``(line number, record)`` for each non-blank line of a JSONL file."""
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return records
+            yield lineno, record
+
+
+def read_jsonl(path) -> list:
+    return [record for _, record in numbered_jsonl(path)]
 
 
 def write_json(path, obj) -> None:

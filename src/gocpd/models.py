@@ -16,7 +16,8 @@ Every model exposes:
 * ``avg_log_likelihood(window)`` -- log-likelihood divided by window length;
 * ``posterior(query_inputs, train=...)`` -- predictive mean and covariance,
   either the marginal under the fitted parameters (``train=None``) or the
-  conditional Gaussian given a training window;
+  conditional Gaussian given a training window; it shapes the query inputs
+  once and hands them to the family's ``_posterior(q, train)``;
 * ``mahalanobis(window)`` / ``modified_mahalanobis(window)`` -- the distance
   ``sqrt(r^T Sigma^{-1} r)`` of the observations from the fitted means under
   the marginal covariance, and the length-corrected variant ``d^(2/n)``.
@@ -27,15 +28,18 @@ a parameter object it did not create, so callers may keep fitted ``params``
 and hand them back as a later starting point without copying. ``reset()``
 is the only way back to the priors.
 
-The GP family has one kernel (``gram``, ``noisy_gram``) and one whitening
-(``PrefixSums.whiten``). Each Gaussian log-density, optimal mean and
-Mahalanobis distance sums the innovations ``L^{-1} v`` of one triangular
-solve against the lower Cholesky factor ``L`` of the noisy Gram
-(Rasmussen & Williams, *GPML*, Algorithm 2.1). As ``L^{-1}`` is lower
-triangular, the first ``m`` innovations use only the first ``m`` entries of
-``v`` and the leading block of ``L``, the factor of the first ``m`` points,
-so the prefix sums of one window's innovations score each of its prefixes
-exactly: a split's left segment, the criterion's left segment, the window.
+The GP family has one kernel (``gram``, ``noisy_gram``), one whitening
+(``PrefixSums.whiten``) and one seam that picks a factor and whitens a
+window with it, ``GaussianProcessModel._whiten``: every GP fit, likelihood
+and distance goes through it, so a faster whitening replaces it there.
+Each Gaussian log-density, optimal mean and Mahalanobis distance sums the
+innovations ``L^{-1} v`` of one triangular solve against the lower Cholesky
+factor ``L`` of the noisy Gram (Rasmussen & Williams, *GPML*, Algorithm
+2.1). As ``L^{-1}`` is lower triangular, the first ``m`` innovations use
+only the first ``m`` entries of ``v`` and the leading block of ``L``, the
+factor of the first ``m`` points, so the prefix sums of one window's
+innovations score each of its prefixes exactly: a split's left segment, the
+criterion's left segment, the window.
 
 A GP model whose hyperparameters are all fixed owns a ``UniformGramFactor``,
 the lower Cholesky factor of the noisy Gram on the grid ``0, dx, 2dx, ...``:
@@ -64,7 +68,7 @@ first GP model is built, so a process with IID models alone never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -125,13 +129,7 @@ class ModelParams:
         return len(self.mean)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            mean=self.mean.copy(),
-            noise_std=self.noise_std,
-            lengthscale=self.lengthscale,
-            output_scale=self.output_scale,
-            kernel=self.kernel,
-        )
+        return replace(self, mean=self.mean.copy())
 
 
 @dataclass
@@ -355,10 +353,10 @@ class PrefixSums:
 class ObservationModel:
     """Base class: parameter bookkeeping plus the shared distance metrics.
 
-    Concrete families implement ``fit``, ``log_likelihood``, ``posterior``
-    and the marginal ``mahalanobis``; ``avg_log_likelihood`` and
-    ``modified_mahalanobis`` derive from them. Instances are single-writer:
-    do not fit and predict concurrently on the same object.
+    Concrete families implement ``fit``, ``log_likelihood``, ``_posterior``
+    and the marginal ``mahalanobis``; ``avg_log_likelihood``,
+    ``modified_mahalanobis`` and ``posterior`` derive from them. Instances
+    are single-writer: do not fit and predict concurrently on the same object.
     """
 
     # Forward and backward sums of the last fitted window, where kept.
@@ -403,7 +401,8 @@ class ObservationModel:
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
         raise NotImplementedError
 
-    def posterior(self, query_inputs, train: TimeSeriesWindow | None = None) -> PosteriorSummary:
+    def _posterior(self, q: np.ndarray, train: TimeSeriesWindow | None) -> PosteriorSummary:
+        """``posterior`` at the query inputs ``q``, already of shape ``(n_q, D)``."""
         raise NotImplementedError
 
     def mahalanobis(self, window: TimeSeriesWindow) -> float:
@@ -424,6 +423,11 @@ class ObservationModel:
     def modified_mahalanobis(self, window: TimeSeriesWindow) -> float:
         """Length-corrected distance ``d^(2 / n)``; 0 stays 0."""
         return _length_corrected(self.mahalanobis(window), len(window))
+
+    def posterior(self, query_inputs, train: TimeSeriesWindow | None = None) -> PosteriorSummary:
+        """Predictive distribution at ``query_inputs`` (a 1-D array is D = 1)."""
+        q = np.asarray(query_inputs, dtype=float)
+        return self._posterior(q[:, None] if q.ndim == 1 else q, train)
 
 
 def _flatten_channel_major(outputs: np.ndarray) -> np.ndarray:
@@ -464,11 +468,8 @@ class IidGaussianModel(ObservationModel):
         var = self.params.noise_std**2
         return float(-0.5 * (np.add.reduce(r * r, None) / var + r.size * (math.log(var) + LOG_2PI)))
 
-    def posterior(self, query_inputs, train: TimeSeriesWindow | None = None) -> PosteriorSummary:
+    def _posterior(self, q: np.ndarray, train: TimeSeriesWindow | None) -> PosteriorSummary:
         # Conditioning is a no-op for independent observations.
-        q = np.asarray(query_inputs, dtype=float)
-        if q.ndim == 1:
-            q = q[:, None]
         n = len(q)
         mean = np.repeat(self.params.mean, n)
         cov = self.params.noise_std**2 * np.eye(n * self.channel_count)
@@ -497,7 +498,7 @@ class GaussianProcessModel(ObservationModel):
     hyperparameters are fitted; ``fitted`` names them in gradient order.
 
     Every log-likelihood, optimal mean and marginal distance is read from
-    the forward ``PrefixSums`` of one whitening. A model that fits no
+    the forward ``PrefixSums`` of one ``_whiten`` call. A model that fits no
     hyperparameter owns a ``UniformGramFactor`` (``gram_factor``, else
     ``None``); a fit that uses it keeps ``prefix`` and ``suffix``.
     """
@@ -519,22 +520,23 @@ class GaussianProcessModel(ObservationModel):
 
     # -- factor and sums -----------------------------------------------------
 
-    def _grid_chol(self, x: np.ndarray, params: ModelParams) -> np.ndarray | None:
-        """The grid factor's block for ``x``, or None where it does not apply."""
-        if self.gram_factor is None:
-            return None
-        return self.gram_factor.leading(x, params)
-
-    def _chol(self, x: np.ndarray, params: ModelParams) -> np.ndarray:
-        """Lower Cholesky factor of the noisy Gram on ``x``."""
-        lower = self._grid_chol(x, params)
-        return chol_with_jitter(noisy_gram(x, params)) if lower is None else lower
+    def _whiten(self, window: TimeSeriesWindow, params: ModelParams,
+                backward: bool = False) -> tuple[PrefixSums, PrefixSums | None, np.ndarray]:
+        """Forward sums of ``window`` under ``params``, backward sums (on the
+        grid, when ``backward`` asks; else None) and the lower factor used:
+        the grid factor's block where it applies, else ``chol_with_jitter``'s."""
+        x = window.inputs
+        lower = None if self.gram_factor is None else self.gram_factor.leading(x, params)
+        on_grid = lower is not None
+        if not on_grid:
+            lower = chol_with_jitter(noisy_gram(x, params))
+        forward, back = PrefixSums.whiten(window, lower, backward=backward and on_grid)
+        return forward, back, lower
 
     def _sums(self, window: TimeSeriesWindow) -> PrefixSums:
         """Forward sums of ``window`` under the fitted kernel and noise."""
         self._check_window(window)
-        return PrefixSums.whiten(window, self._chol(window.inputs, self.params),
-                                 backward=False)[0]
+        return self._whiten(window, self.params)[0]
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
         return self._sums(window).log_likelihood(len(window), self.params.mean)
@@ -544,26 +546,11 @@ class GaussianProcessModel(ObservationModel):
 
     # -- fitting -------------------------------------------------------------
 
-    def _grad_dmats(self, x: np.ndarray, sq: np.ndarray,
-                    params: ModelParams) -> list[np.ndarray]:
-        """Noisy-Gram derivatives in the ``fitted`` log-parameters, given the
-        inputs ``x`` and their squared distances ``sq``."""
-        out = []
-        if "lengthscale" in self.fitted:
-            ks = gram(x, x, params)
-            out.append(ks * (sq / params.lengthscale**2))
-            if "output_scale" in self.fitted:
-                out.append(2.0 * ks)
-        if "noise_std" in self.fitted:
-            out.append(2.0 * params.noise_std**2 * np.eye(len(sq)))
-        return out
-
     def _objective(self, window: TimeSeriesWindow,
                    params: ModelParams) -> tuple[float, np.ndarray]:
         """Marginal log-likelihood, with the means set to their exact optimum,
         and the Gram factor it used."""
-        chol_lower = self._chol(window.inputs, params)
-        sums, _ = PrefixSums.whiten(window, chol_lower, backward=False)
+        sums, _, chol_lower = self._whiten(window, params)
         n = len(window)
         params.mean = sums.mean(n)
         return sums.log_likelihood(n, params.mean), chol_lower
@@ -571,12 +558,21 @@ class GaussianProcessModel(ObservationModel):
     def _gradient(self, window: TimeSeriesWindow, params: ModelParams,
                   chol_lower: np.ndarray, sq: np.ndarray) -> np.ndarray:
         """Gradient of the marginal log-likelihood in the fitted log-parameters,
-        from the factor ``_objective`` returned (the means leave the Gram alone)."""
-        y = window.outputs
+        from the factor ``_objective`` returned (the means leave the Gram alone)
+        and the inputs' squared distances ``sq``."""
+        y, x = window.outputs, window.inputs
         kinv = _linalg().cho_solve((chol_lower, True), np.eye(len(y)))
         alphas = [kinv @ (y[:, c] - params.mean[c]) for c in range(self.channel_count)]
+        dmats = []  # noisy-Gram derivatives, in ``fitted`` order
+        if "lengthscale" in self.fitted:
+            ks = gram(x, x, params)
+            dmats.append(ks * (sq / params.lengthscale**2))
+            if "output_scale" in self.fitted:
+                dmats.append(2.0 * ks)
+        if "noise_std" in self.fitted:
+            dmats.append(2.0 * params.noise_std**2 * np.eye(len(sq)))
         grad = []
-        for dmat in self._grad_dmats(window.inputs, sq, params):
+        for dmat in dmats:
             quad = sum(a @ dmat @ a for a in alphas)
             trace = float(np.sum(kinv * dmat))  # dmat symmetric
             grad.append(0.5 * quad - 0.5 * self.channel_count * trace)
@@ -585,19 +581,16 @@ class GaussianProcessModel(ObservationModel):
     def fit(self, window: TimeSeriesWindow) -> "GaussianProcessModel":
         self._check_window(window)
         self._check_fit_size(window)
-        params = self.params.copy()
-
         if not self.fitted:
-            # Fixed kernel and noise: the means are the whole fit.
+            # Fixed kernel and noise: the means are the whole fit. The sums
+            # are kept on the grid only, where they come with their tables.
             self.prefix = self.suffix = None
-            lower = self._grid_chol(window.inputs, params)
-            if lower is None:
-                self._objective(window, params)
-            else:
-                self.prefix, self.suffix = PrefixSums.whiten(window, lower)
-                params.mean = self.prefix.mean(len(window))
-            self.params = params
+            prefix, suffix, _ = self._whiten(window, self.params, backward=True)
+            self.params = replace(self.params, mean=prefix.mean(len(window)))
+            if suffix is not None:
+                self.prefix, self.suffix = prefix, suffix
             return self
+        params = self.params.copy()
         sq = _sqdist(window.inputs, window.inputs)
         objective, chol_lower = self._objective(window, params)
         step = 0.25  # step length in log-parameter units
@@ -608,8 +601,7 @@ class GaussianProcessModel(ObservationModel):
                 break
             direction = gvec / gnorm
             # Backtracking on the objective only; gradients are recomputed
-            # once per accepted step.
-            improved = False
+            # once per accepted step, and a direction with no gain ends the fit.
             for _ in range(8):
                 trial = params.copy()
                 for i, name in enumerate(self.fitted):
@@ -624,10 +616,9 @@ class GaussianProcessModel(ObservationModel):
                 if trial_objective > objective:
                     params, objective, chol_lower = trial, trial_objective, trial_chol
                     step = min(step * 1.5, 1.0)
-                    improved = True
                     break
                 step *= 0.5
-            if not improved:
+            else:
                 break
 
         self.params = params
@@ -635,25 +626,18 @@ class GaussianProcessModel(ObservationModel):
 
     # -- prediction ----------------------------------------------------------
 
-    def _predictive(self, q: np.ndarray,
-                    train: TimeSeriesWindow | None) -> tuple[np.ndarray, np.ndarray]:
-        """Per-channel predictive means ``(n_q, C)`` and the shared covariance."""
+    def _posterior(self, q: np.ndarray, train: TimeSeriesWindow | None) -> PosteriorSummary:
         p = self.params
         if train is None:
-            return np.broadcast_to(p.mean, (len(q), self.channel_count)), noisy_gram(q, p)
-        self._check_window(train)
-        k_tq = gram(train.inputs, q, p)
-        chol_lower = chol_with_jitter(noisy_gram(train.inputs, p))
-        solved = _linalg().cho_solve((chol_lower, True), k_tq)
-        cov = gram(q, q, p) - k_tq.T @ solved + p.noise_std**2 * np.eye(len(q))
-        cov = 0.5 * (cov + cov.T)
-        return p.mean + solved.T @ (train.outputs - p.mean), cov
-
-    def posterior(self, query_inputs, train: TimeSeriesWindow | None = None) -> PosteriorSummary:
-        q = np.asarray(query_inputs, dtype=float)
-        if q.ndim == 1:
-            q = q[:, None]
-        means, cov = self._predictive(q, train)
+            means, cov = np.broadcast_to(p.mean, (len(q), self.channel_count)), noisy_gram(q, p)
+        else:
+            self._check_window(train)
+            k_tq = gram(train.inputs, q, p)
+            chol_lower = chol_with_jitter(noisy_gram(train.inputs, p))
+            solved = _linalg().cho_solve((chol_lower, True), k_tq)
+            cov = gram(q, q, p) - k_tq.T @ solved + p.noise_std**2 * np.eye(len(q))
+            cov = 0.5 * (cov + cov.T)
+            means = p.mean + solved.T @ (train.outputs - p.mean)
         if self.channel_count > 1:
             cov = _linalg().block_diag(*[cov] * self.channel_count)
         return PosteriorSummary(mean=_flatten_channel_major(means), cov=cov)

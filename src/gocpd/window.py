@@ -80,12 +80,17 @@ class TimeSeriesWindow:
         return TimeSeriesWindow._unchecked(self.inputs[i:j], self.outputs[i:j], int(a))
 
     def extend(self, other: "TimeSeriesWindow") -> "TimeSeriesWindow":
-        """Concatenate a continuation; raise NonContiguousBatch unless it is contiguous."""
+        """Concatenate a continuation; raise NonContiguousBatch unless it is
+        contiguous, and ValueError unless its D and C are this window's."""
         if other.start_index != self.end_index + 1:
             raise NonContiguousBatch(
                 f"windows not contiguous: this ends at {self.end_index}, "
                 f"next starts at {other.start_index}"
             )
+        (_, d), (_, c) = other.inputs.shape, other.outputs.shape
+        if d != self.inputs.shape[1] or c != self.outputs.shape[1]:
+            raise ValueError(f"batch starting at t={other.start_index} has D={d}, C={c}; "
+                             f"the window has D={self.input_dim}, C={self.channel_count}")
         x, y = np.vstack([self.inputs, other.inputs]), np.vstack([self.outputs, other.outputs])
         return TimeSeriesWindow._unchecked(x, y, self.start_index)
 

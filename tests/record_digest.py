@@ -1,0 +1,82 @@
+"""sha256 digests of the detector's outputs, for showing that a change of
+the code keeps its behaviour byte for byte.
+
+For each perfbench workload and seed it replays the workload's streams
+(``perfbench/workloads.py``) through ``run_stream`` with the workload's
+config, and prints one sha256 over the canonical JSON of every stream's
+config, detection events and iteration records, with ``elapsed_s``, the
+one wall-clock field, dropped. It also prints one sha256 per seed of the
+``standard_script`` series of every preset, inputs, outputs and truth.
+Two checkouts behave the same on these inputs when they print the same
+lines. Not collected by pytest. Run from the repository root, once with
+each checkout's ``src`` on ``PYTHONPATH``:
+
+    PYTHONPATH=src python tests/record_digest.py --seeds 0-3
+    PYTHONPATH=path/to/other/src python tests/record_digest.py --seeds 0-3
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import WORKLOADS, streams  # noqa: E402
+
+from gocpd.datagen import FACTOR_TABLES, sample_piecewise_gp, standard_script  # noqa: E402
+from gocpd.detector import DetectorConfig, run_stream  # noqa: E402
+from gocpd.fileio import canonical_json  # noqa: E402
+
+
+def seed_list(text: str) -> list[int]:
+    """``"0-3"`` or ``"0,2,5"`` as a list of seeds."""
+    if "-" in text:
+        lo, hi = map(int, text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def workload_digest(name: str, seed: int) -> tuple[str, int, int]:
+    """sha256 of the workload's records at ``seed``, with the event and record counts."""
+    config = DetectorConfig.from_dict(WORKLOADS[name]["config"])
+    digest, n_events, n_records = hashlib.sha256(), 0, 0
+    for i, (window, _) in enumerate(streams(name, seed)):
+        events, records = run_stream(window, config)
+        lines = [{"kind": "meta", "stream": i, "config": config.to_dict()}]
+        lines += [e.to_dict() for e in events]
+        lines += [{k: v for k, v in r.items() if k != "elapsed_s"} for r in records]
+        for line in lines:
+            digest.update((canonical_json(line) + "\n").encode())
+        n_events, n_records = n_events + len(events), n_records + len(records)
+    return digest.hexdigest(), n_events, n_records
+
+
+def script_digest(seed: int) -> str:
+    """sha256 of every preset's ``standard_script`` series at ``seed``."""
+    digest = hashlib.sha256()
+    for vary in FACTOR_TABLES:
+        window, truth = sample_piecewise_gp(standard_script(vary, seed=seed))
+        digest.update(window.inputs.tobytes() + window.outputs.tobytes())
+        digest.update(canonical_json(truth).encode())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=seed_list, default=[0], help='e.g. "0-3" or "0,2"')
+    parser.add_argument("--workloads", default=",".join(WORKLOADS),
+                        help="comma-separated perfbench workloads (default: all)")
+    parser.add_argument("--script-seeds", type=seed_list, default=[0, 1, 2])
+    args = parser.parse_args()
+    for name in args.workloads.split(","):
+        for seed in args.seeds:
+            hexdigest, n_events, n_records = workload_digest(name, seed)
+            print(f"{name} seed={seed} events={n_events} records={n_records} "
+                  f"sha256={hexdigest}", flush=True)
+    for seed in args.script_seeds:
+        print(f"standard_script seed={seed} sha256={script_digest(seed)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -307,6 +307,38 @@ def test_detect_tune_runs_grid(tmp_path, step_csv, config_path, capsys):
     assert "tuned thresholds" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("truth", [{}, {"locations": "abc"}, [1, 2], {"locations": [50.0]}])
+@pytest.mark.parametrize("command", ["score", "tune"])
+def test_bad_truth_file_is_named(tmp_path, step_csv, config_path, capsys, truth, command):
+    tpath = tmp_path / "truth.json"
+    write_json(tpath, truth)
+    if command == "score":
+        run = _write_run(tmp_path, "runs/r0", [51])
+        argv = ["score", "--events", str(run / "events.jsonl"), "--truth", str(tpath)]
+    else:
+        argv = ["detect", "--data", str(step_csv), "--config", str(config_path),
+                "--out", str(tmp_path / "run"), "--tune", "--truth", str(tpath)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tpath}: truth must be an object whose locations is a list of integers" in err
+
+
+@pytest.mark.parametrize("record, named", [
+    ({"kind": "detection"}, "got None"),
+    ({"kind": "detection", "change_point": "51"}, "got '51'"),
+    ([1, 2], "a record must be a JSON object"),
+])
+def test_score_bad_detection_record_names_its_line(tmp_path, capsys, record, named):
+    run = _write_run(tmp_path, "runs/r0", [51])
+    events = run / "events.jsonl"
+    events.write_text(events.read_text() + "\n" + json.dumps(record) + "\n")
+    tpath = tmp_path / "truth.json"
+    write_json(tpath, {"locations": [50]})
+    assert main(["score", "--events", str(events), "--truth", str(tpath)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {events}: line 4: " in err and named in err  # line 3 is blank
+
+
 # -- score ---------------------------------------------------------------------------
 
 def _write_run(tmp_path, name, change_points, seed=0):

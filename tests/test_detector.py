@@ -373,6 +373,21 @@ def test_non_contiguous_batch_rejected():
         det.step(TimeSeriesWindow(np.arange(2.0), np.zeros(2), start_index=7))
 
 
+@pytest.mark.parametrize("inputs, outputs, shape", [
+    (np.array([41.0]), np.zeros((1, 2)), "D=1, C=2"),
+    (np.zeros((2, 3)), np.zeros(2), "D=3, C=1"),
+])
+def test_batch_of_another_shape_is_named_and_changes_nothing(inputs, outputs, shape):
+    det = Detector(step_config())
+    for batch in stream_batches(step_example().slice(0, 40), 1):
+        det.step(batch)
+    before = (det.window, det.candidate, det.k, len(det.instrumentation))
+    with pytest.raises(ValueError, match=f"batch starting at t=41 has {shape}; "
+                                         "the window has D=1, C=1"):
+        det.step(TimeSeriesWindow(inputs, outputs, start_index=41))
+    assert (det.window, det.candidate, det.k, len(det.instrumentation)) == before
+
+
 def test_degraded_step_keeps_stream_alive(caplog):
     # a model failure inside the search must not kill the detector
     det = Detector(step_config())
@@ -596,6 +611,15 @@ def test_two_channel_stream_detects_joint_mean_shift():
 
 
 # -- tuning ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grids, named", [
+    (dict(nu_grid=()), "nu_grid is empty"),
+    (dict(nu_grid=(1.05,), k_max_grid=[]), "k_max_grid is empty"),
+])
+def test_grid_search_names_an_empty_grid(grids, named):
+    with pytest.raises(ValueError, match=named):
+        grid_search_thresholds(step_example(), [50], step_config(), **grids)
+
 
 def test_grid_search_prefers_detecting_config():
     rng = np.random.default_rng(7)
