@@ -83,10 +83,6 @@ def _read_truth(path) -> list[int]:
     return locations
 
 
-def _load_detector_config(path) -> DetectorConfig:
-    return DetectorConfig.from_dict(read_json(path))
-
-
 def _perturbed_model(config: DetectorConfig, seed: int) -> DetectorConfig:
     """Randomize the model initialization for one repetition run."""
     rng = np.random.default_rng(seed)
@@ -114,7 +110,7 @@ def _detect_once(series, config: DetectorConfig, out: Path, seed: int, data_path
 
 
 def cmd_detect(args) -> int:
-    config = _load_detector_config(args.config)
+    config = DetectorConfig.from_dict(read_json(args.config))
     series = read_series_csv(args.data)
     if args.standardize:
         series, _ = datagen.standardize(series)
@@ -215,7 +211,7 @@ def cmd_score(args) -> int:
 
 def cmd_bench(args) -> int:
     started = time.perf_counter()
-    config = _load_detector_config(args.config)
+    config = DetectorConfig.from_dict(read_json(args.config))
     series = read_series_csv(args.data)
     read_s = time.perf_counter() - started
     Detector(config)  # a GP model imports scipy when first built; keep that out of wall_s

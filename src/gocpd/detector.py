@@ -33,8 +33,6 @@ import time
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .errors import ConfigError, NonPositiveDefinite, TooFewPoints, check_fields
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel)
@@ -258,21 +256,19 @@ class Detector:
         independently (no cross-segment covariance). The split is
         ``[last_change, candidate] | [candidate + 1, t]``, one point right of
         the search's ``[start, tau - 1] | [tau, t]`` and of the reset's.
-        Each distance is read from ``m0``'s forward or backward sums when
-        they were built from this window, which starts at ``last_change``.
         """
-        t, mean = self.window.end_index, self.m0.params.mean
-        prefix, suffix = self.m0.prefix, self.m0.suffix
-        if prefix is not None and prefix.window is self.window:
-            d_left = prefix.modified_mahalanobis(candidate - self.last_change + 1, mean)
-        else:
-            d_left = self.m0.modified_mahalanobis(self.window.slice(self.last_change, candidate))
-        if suffix is not None and suffix.window is self.window:
-            d_right = suffix.modified_mahalanobis(t - candidate, mean)
-        else:
-            d_right = self.m0.modified_mahalanobis(self.window.slice(candidate + 1, t))
+        d_left = self._distance(self.m0.prefix, self.last_change, candidate)
+        d_right = self._distance(self.m0.suffix, candidate + 1, self.window.end_index)
         ok = d_left > self.config.nu1 and d_right > self.config.nu2
         return ok, d_left, d_right
+
+    def _distance(self, sums, a: int, b: int) -> float:
+        """``m0``'s modified Mahalanobis distance of ``[a, b]``, read from its
+        forward or backward ``sums`` when they were built from this window,
+        which starts at ``last_change``, else from a slice."""
+        if sums is not None and sums.window is self.window:
+            return sums.modified_mahalanobis(b - a + 1, self.m0.params.mean)
+        return self.m0.modified_mahalanobis(self.window.slice(a, b))
 
     def _restart(self, change_point: int, wait: int) -> None:
         """Begin a segment at ``change_point``: every model at its priors, no
@@ -294,42 +290,18 @@ def stream_batches(window: TimeSeriesWindow, batch_size: int) -> Iterator[TimeSe
         yield window.slice(start, stop)
 
 
-def _pair_batches(pairs: Iterable, batch_size: int,
-                  start: int) -> Iterator[TimeSeriesWindow]:
-    """Group ``(x_t, y_t)`` samples into contiguous batches from ``start``."""
-    xs, ys = [], []
-    for item in pairs:
-        try:
-            x, y = item
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"stream item at timestamp {start + len(xs)} is not an "
-                f"(x, y) pair: {item!r}"
-            ) from exc
-        xs.append(np.atleast_1d(np.asarray(x, dtype=float)))
-        ys.append(np.atleast_1d(np.asarray(y, dtype=float)))
-        if len(xs) == batch_size:
-            yield TimeSeriesWindow(np.vstack(xs), np.vstack(ys), start)
-            start += len(xs)
-            xs, ys = [], []
-    if xs:
-        yield TimeSeriesWindow(np.vstack(xs), np.vstack(ys), start)
+def run_stream(series: TimeSeriesWindow,
+               config: DetectorConfig) -> tuple[list[DetectionEvent], list[dict]]:
+    """Replay a window batch by batch through a fresh detector.
 
-
-def run_stream(source: Iterable, config: DetectorConfig,
-               start_index: int = 0) -> tuple[list[DetectionEvent], list[dict]]:
-    """Fold the detector over a stream of ``(x_t, y_t)`` samples.
-
-    ``source`` may also be a TimeSeriesWindow, which is replayed batch by
-    batch. Returns all detection events plus the per-iteration
-    instrumentation records.
+    Returns all detection events plus the per-iteration instrumentation
+    records. A live source feeds its batches to ``Detector.step`` instead.
     """
-    if isinstance(source, TimeSeriesWindow):
-        batches = stream_batches(source, config.batch_size)
-    else:
-        batches = _pair_batches(source, config.batch_size, start_index)
+    if not isinstance(series, TimeSeriesWindow):
+        raise TypeError(f"run_stream replays a TimeSeriesWindow, got {type(series).__name__}; "
+                        "feed a live source to Detector.step")
     detector = Detector(config)
-    for batch in batches:
+    for batch in stream_batches(series, config.batch_size):
         detector.step(batch)
     return detector.events, detector.instrumentation
 
@@ -346,12 +318,14 @@ def grid_search_thresholds(series: TimeSeriesWindow, truth: list[int],
     ``(nu1, nu2)`` pairs. Each grid point is scored by the F1 of its
     matched detections on the train split; ties prefer stricter (larger)
     thresholds. Returns a new config with the winning values. An empty
-    grid is a ValueError.
+    grid, or a bad ``train_frac`` or ``tolerance``, is a ValueError raised
+    before any replay.
     """
-    from .metrics import match_detections, rates
+    from .metrics import check_tolerance, match_detections, rates
 
     if not 0 < train_frac <= 1:
         raise ValueError(f"train_frac must be in (0, 1], got {train_frac}")
+    check_tolerance(tolerance)
     split_at = series.start_index + max(1, int(len(series) * train_frac)) - 1
     train = series.slice(series.start_index, split_at)
     train_truth = [c for c in truth if c <= split_at]

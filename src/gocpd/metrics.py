@@ -27,6 +27,12 @@ class MatchReport:
     tolerance: int
 
 
+def check_tolerance(tolerance) -> None:
+    """Raise ValueError unless ``tolerance`` is >= 0; NaN is not."""
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+
+
 def match_detections(truth: list[int], detected: list[int], tolerance: int = 25) -> MatchReport:
     """Greedy nearest matching of detections to true change locations.
 
@@ -35,8 +41,7 @@ def match_detections(truth: list[int], detected: list[int], tolerance: int = 25)
     earlier true change wins. Duplicate truth locations count once;
     duplicate detections each count.
     """
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    check_tolerance(tolerance)
     truth = sorted(set(truth))
     detected = sorted(detected)
     pairs_by_distance = sorted(

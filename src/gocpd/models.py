@@ -124,10 +124,6 @@ class ModelParams:
         if not 0 < self.noise_std < math.inf:
             raise ValueError(f"noise_std must be > 0 and finite, got {self.noise_std}")
 
-    @property
-    def channel_count(self) -> int:
-        return len(self.mean)
-
     def copy(self) -> "ModelParams":
         return replace(self, mean=self.mean.copy())
 
@@ -376,7 +372,7 @@ class ObservationModel:
 
     @property
     def channel_count(self) -> int:
-        return self.params.channel_count
+        return len(self.params.mean)
 
     def _check_window(self, window: TimeSeriesWindow) -> None:
         if window.channel_count != self.channel_count:
@@ -430,10 +426,6 @@ class ObservationModel:
         return self._posterior(q[:, None] if q.ndim == 1 else q, train)
 
 
-def _flatten_channel_major(outputs: np.ndarray) -> np.ndarray:
-    return outputs.T.reshape(-1)
-
-
 class IidGaussianModel(ObservationModel):
     """Independent Gaussians ``N(mu_c, sigma_n^2)``, one mean per channel.
 
@@ -476,7 +468,7 @@ class IidGaussianModel(ObservationModel):
         return PosteriorSummary(mean=mean, cov=cov)
 
     def mahalanobis(self, window: TimeSeriesWindow) -> float:
-        # Diagonal covariance; skip the generic factorization.
+        # Diagonal covariance: the distance is the norm of the scaled residuals.
         self._check_window(window)
         r = (window.outputs - self.params.mean) / self.params.noise_std
         return math.sqrt(np.add.reduce(r * r, None))
@@ -640,4 +632,4 @@ class GaussianProcessModel(ObservationModel):
             means = p.mean + solved.T @ (train.outputs - p.mean)
         if self.channel_count > 1:
             cov = _linalg().block_diag(*[cov] * self.channel_count)
-        return PosteriorSummary(mean=_flatten_channel_major(means), cov=cov)
+        return PosteriorSummary(mean=means.T.reshape(-1), cov=cov)

@@ -6,10 +6,11 @@ The split metric for a window spanning ``[start, t]`` and a split point
 the metric is unimodal in ``tau``, so its argmax can be located with a
 discrete ternary search in ``O(log n)`` evaluations instead of a linear
 scan. Searches start from the best split of the previous iteration, the
-saved candidate. It truncates the domain, since the optimum
-never moves left of it, so it is the domain's left edge ``lo`` whenever
-that edge is admissible, and the search compares ``score(lo)`` against its
-probes at every level.
+saved candidate. By rule, no split left of it is searched again, so it is
+the domain's left edge ``lo`` whenever that edge is admissible, and the
+search compares ``score(lo)`` against its probes at every level. The rule
+is a choice, not a property of the metric: the optimum can move left of
+the candidate, and ROADMAP.md item 4 measures what that costs.
 
 ``Detector.step`` composes the pieces: ``effective_interval``'s bounds,
 then a ``SplitScorer``, then ``ternary_argmax``. ``Detector`` keeps the

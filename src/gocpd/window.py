@@ -33,6 +33,8 @@ class TimeSeriesWindow:
     def __init__(self, inputs, outputs, start_index: int = 0):
         x = np.atleast_1d(np.asarray(inputs, dtype=float))
         y = np.atleast_1d(np.asarray(outputs, dtype=float))
+        if x.ndim > 2 or y.ndim > 2:
+            raise ValueError(f"inputs {x.shape} and outputs {y.shape} must each be 1-D or 2-D")
         if x.ndim == 1:
             x = x[:, None]
         if y.ndim == 1:

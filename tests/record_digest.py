@@ -8,22 +8,34 @@ config, detection events and iteration records, with ``elapsed_s``, the
 one wall-clock field, dropped. It also prints one sha256 per seed of the
 ``standard_script`` series of every preset, inputs, outputs and truth.
 Two checkouts behave the same on these inputs when they print the same
-lines. Not collected by pytest. Run from the repository root, once with
-each checkout's ``src`` on ``PYTHONPATH``:
+lines. Not collected by pytest. Run from the repository root:
 
     PYTHONPATH=src python tests/record_digest.py --seeds 0-3
-    PYTHONPATH=path/to/other/src python tests/record_digest.py --seeds 0-3
+
+With ``--against path/to/other/src`` it also runs itself in a child process
+with that ``src`` alone on ``PYTHONPATH``, checks that the child imported
+``gocpd`` from there, prints each line on which the two sides differ, and
+exits 1 if any does:
+
+    PYTHONPATH=src python tests/record_digest.py --seeds 0-3 --against ../other/src
+
+Each side names the ``gocpd`` it imported on stderr.
 """
 
 import argparse
 import hashlib
+import os
+import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
+from typing import Iterator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from workloads import WORKLOADS, streams  # noqa: E402
 
+import gocpd  # noqa: E402
 from gocpd.datagen import FACTOR_TABLES, sample_piecewise_gp, standard_script  # noqa: E402
 from gocpd.detector import DetectorConfig, run_stream  # noqa: E402
 from gocpd.fileio import canonical_json  # noqa: E402
@@ -62,20 +74,56 @@ def script_digest(seed: int) -> str:
     return digest.hexdigest()
 
 
+def digest_lines(args) -> Iterator[str]:
+    """The report's lines, one per workload and seed, then one per script seed."""
+    for name in args.workloads.split(","):
+        for seed in args.seeds:
+            hexdigest, n_events, n_records = workload_digest(name, seed)
+            yield (f"{name} seed={seed} events={n_events} records={n_records} "
+                   f"sha256={hexdigest}")
+    for seed in args.script_seeds:
+        yield f"standard_script seed={seed} sha256={script_digest(seed)}"
+
+
+ORIGIN = "gocpd imported from "
+
+
+def compare_against(args, other_src: Path) -> int:
+    """Run this report on ``other_src`` in a child process beside this one's;
+    print the differing lines and return 1 if there are any."""
+    argv = [sys.executable, __file__, "--workloads", args.workloads,
+            "--seeds", ",".join(map(str, args.seeds)),
+            "--script-seeds", ",".join(map(str, args.script_seeds))]
+    child = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": str(other_src)},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    ours = list(digest_lines(args))
+    theirs, errors = child.communicate()
+    origins = [line[len(ORIGIN):] for line in errors.splitlines() if line.startswith(ORIGIN)]
+    if child.returncode != 0 or origins != [str(other_src / "gocpd")]:
+        sys.exit(f"the run on {other_src} failed or did not import its gocpd:\n{errors}")
+    pairs = list(zip_longest(theirs.splitlines(), ours, fillvalue="(no line)"))
+    differing = [(there, here) for there, here in pairs if there != here]
+    for there, here in differing:
+        print(f"- {there}\n+ {here}", flush=True)
+    print(f"{len(differing)} of {len(pairs)} lines differ "
+          f"(-: {other_src}, +: {Path(gocpd.__file__).parent.parent})")
+    return int(bool(differing))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=seed_list, default=[0], help='e.g. "0-3" or "0,2"')
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma-separated perfbench workloads (default: all)")
     parser.add_argument("--script-seeds", type=seed_list, default=[0, 1, 2])
+    parser.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                        help="compare with a run on another checkout's src directory")
     args = parser.parse_args()
-    for name in args.workloads.split(","):
-        for seed in args.seeds:
-            hexdigest, n_events, n_records = workload_digest(name, seed)
-            print(f"{name} seed={seed} events={n_events} records={n_records} "
-                  f"sha256={hexdigest}", flush=True)
-    for seed in args.script_seeds:
-        print(f"standard_script seed={seed} sha256={script_digest(seed)}", flush=True)
+    print(f"{ORIGIN}{Path(gocpd.__file__).parent}", file=sys.stderr, flush=True)
+    if args.against is not None:
+        sys.exit(compare_against(args, args.against.resolve()))
+    for line in digest_lines(args):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -521,29 +521,11 @@ def test_raising_thresholds_never_increases_detections():
 
 # -- run_stream ----------------------------------------------------------------------
 
-def test_run_stream_empty_source():
-    events, instrumentation = run_stream([], DetectorConfig())
-    assert events == []
-    assert instrumentation == []
-
-
-def test_run_stream_from_pairs_matches_window_replay():
-    # batch size 3 leaves a partial last batch of pair input
+def test_run_stream_replays_only_a_window():
     w = step_example()
-    strip = lambda rec: {k: v for k, v in rec.items() if k != "elapsed_s"}
-    for batch_size in (1, 3):
-        cfg = step_config(batch_size=batch_size)
-        events_a, records_a = run_stream(w, cfg)
-        pairs = [(w.inputs[i], w.outputs[i]) for i in range(len(w))]
-        events_b, records_b = run_stream(pairs, cfg)
-        assert [e.change_point for e in events_a] == [e.change_point for e in events_b]
-        assert [e.to_dict() for e in events_a] == [e.to_dict() for e in events_b]
-        assert [strip(r) for r in records_a] == [strip(r) for r in records_b]
-
-
-def test_run_stream_rejects_malformed_items():
-    with pytest.raises(ValueError, match="timestamp"):
-        run_stream([(0.0, 0.0), 5.0], DetectorConfig())
+    pairs = [(w.inputs[i], w.outputs[i]) for i in range(len(w))]
+    with pytest.raises(TypeError, match=r"got list; feed a live source to Detector\.step"):
+        run_stream(pairs, DetectorConfig())
 
 
 def test_replay_is_deterministic():
@@ -619,6 +601,17 @@ def test_two_channel_stream_detects_joint_mean_shift():
 def test_grid_search_names_an_empty_grid(grids, named):
     with pytest.raises(ValueError, match=named):
         grid_search_thresholds(step_example(), [50], step_config(), **grids)
+
+
+@pytest.mark.parametrize("tolerance", [-1, math.nan])
+def test_grid_search_rejects_a_bad_tolerance_before_any_replay(tolerance, monkeypatch):
+    def no_replay(*args):
+        raise AssertionError("replayed before checking tolerance")
+
+    monkeypatch.setattr("gocpd.detector.run_stream", no_replay)
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        grid_search_thresholds(step_example(), [50], step_config(), nu_grid=(1.05,),
+                               tolerance=tolerance)
 
 
 def test_grid_search_prefers_detecting_config():

@@ -52,6 +52,13 @@ def test_lengths_must_match():
         TimeSeriesWindow(np.arange(3.0), np.zeros(4))
 
 
+def test_arrays_of_more_than_two_dimensions_rejected():
+    with pytest.raises(ValueError, match=r"inputs \(4, 1, 1\) and outputs \(4,\)"):
+        TimeSeriesWindow(np.zeros((4, 1, 1)), np.zeros(4))
+    with pytest.raises(ValueError, match=r"inputs \(4,\) and outputs \(4, 1, 1\)"):
+        TimeSeriesWindow(np.zeros(4), np.zeros((4, 1, 1)))
+
+
 def test_empty_window_rejected():
     with pytest.raises(ValueError):
         TimeSeriesWindow(np.zeros((0, 1)), np.zeros((0, 1)))
