@@ -90,7 +90,6 @@ def _perturbed_model(config: DetectorConfig, seed: int) -> DetectorConfig:
     model = doc["model"]
     for name in ("lengthscale", "output_scale", "noise_std"):
         model[name] = float(model[name] * np.exp(0.05 * rng.standard_normal()))
-    model["mean"] = [float(m + 0.01 * rng.standard_normal()) for m in model["mean"]]
     return DetectorConfig.from_dict(doc)
 
 

@@ -5,7 +5,7 @@ hyperparameter, a multiplicative factor per segment. Each segment is an
 independent draw from a GP with the scripted hyperparameters on a
 unit-spaced input grid, so consecutive segments are statistically
 independent. Also provides the 101-point mean-step example stream and the
-standardize/downsample preprocessing used before detection.
+per-channel standardization used before detection.
 """
 
 from __future__ import annotations
@@ -109,10 +109,10 @@ class RegimeScript:
         return p
 
 
-def standard_script(vary: str, seed: int = 0, length: int = 1000) -> RegimeScript:
+def standard_script(vary: str, seed: int = 0) -> RegimeScript:
     """The bundled 1000-point script varying one hyperparameter."""
     return RegimeScript(
-        length=length,
+        length=1000,
         change_locations=list(DEFAULT_CHANGE_LOCATIONS),
         vary=vary,
         factors=list(FACTOR_TABLES.get(vary, [])),  # RegimeScript rejects an unknown vary
@@ -177,17 +177,3 @@ def standardize(window: TimeSeriesWindow) -> tuple[TimeSeriesWindow, list[tuple[
                            start_index=window.start_index)
     return out, transform
 
-
-def downsample(window: TimeSeriesWindow, rate: int) -> TimeSeriesWindow:
-    """Keep every ``rate``-th sample.
-
-    The result is a new contiguous stream (indices 0, 1, ...) whose inputs
-    still carry the original sampling positions, so original timestamps
-    remain recoverable through the ``x0 = t`` convention.
-    """
-    if rate < 1:
-        raise ValueError(f"rate must be >= 1, got {rate}")
-    if rate == 1:
-        return window
-    return TimeSeriesWindow(window.inputs[::rate], window.outputs[::rate],
-                            start_index=window.start_index)

@@ -33,7 +33,8 @@ import time
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, NonPositiveDefinite, TooFewPoints, check_fields
+from .errors import (ConfigError, NonPositiveDefinite, TooFewPoints, check_fields,
+                     is_number)
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel)
 from .search import SplitScorer, effective_interval, ternary_argmax
@@ -52,7 +53,6 @@ class ModelSpec:
     lengthscale: float = 1.0
     output_scale: float = 1.0
     noise_std: float = 0.1
-    mean: list[float] = field(default_factory=lambda: [0.0])
     channels: int = 1
     fix_noise: bool = False
     fix_kernel: bool = False
@@ -63,17 +63,13 @@ class ModelSpec:
     def __post_init__(self):
         check_fields(self, "model.", family=("iid", "gp"), kernel=("rbf", "dirac"),
                      channels=">= 1", min_fit_points=">= 1", max_fit_iters=">= 0")
-        if len(self.mean) == 1:
-            try:
-                self.mean = self.mean * self.channels
-            except (OverflowError, MemoryError) as exc:
-                raise ConfigError(f"model.channels is too large, got {self.channels}") from exc
-        if len(self.mean) != self.channels:
-            raise ConfigError(f"model.mean has {len(self.mean)} entries for "
-                              f"{self.channels} channels")
+        try:
+            mean = [0.0] * self.channels
+        except (OverflowError, MemoryError) as exc:
+            raise ConfigError(f"model.channels is too large, got {self.channels}") from exc
         try:
             self.priors = ModelParams(
-                mean=self.mean,
+                mean=mean,
                 noise_std=self.noise_std,
                 lengthscale=self.lengthscale,
                 output_scale=self.output_scale,
@@ -318,8 +314,9 @@ def grid_search_thresholds(series: TimeSeriesWindow, truth: list[int],
     ``(nu1, nu2)`` pairs. Each grid point is scored by the F1 of its
     matched detections on the train split; ties prefer stricter (larger)
     thresholds. Returns a new config with the winning values. An empty
-    grid, or a bad ``train_frac`` or ``tolerance``, is a ValueError raised
-    before any replay.
+    grid, an entry that is neither a number nor a pair, a grid point that
+    makes a bad config, or a bad ``train_frac`` or ``tolerance``, is a
+    ValueError raised before any replay.
     """
     from .metrics import check_tolerance, match_detections, rates
 
@@ -335,17 +332,22 @@ def grid_search_thresholds(series: TimeSeriesWindow, truth: list[int],
     for name, grid in (("nu_grid", nu_values), ("k_max_grid", k_values)):
         if not grid:
             raise ValueError(f"{name} is empty")
-    best = None
-    for k_max in k_values:
-        for nu in nu_values:
-            nu1, nu2 = nu if isinstance(nu, (tuple, list)) else (nu, nu)
-            candidate_config = replace(base_config, nu1=nu1, nu2=nu2, k_max=k_max)
-            events, _ = run_stream(train, candidate_config)
-            detected = [e.change_point for e in events]
-            report = match_detections(train_truth, detected, tolerance)
-            tpr, ppv, _ = rates(report)
-            f1 = 0.0 if (tpr + ppv) == 0 else 2 * tpr * ppv / (tpr + ppv)
-            key = (f1, nu1, nu2, k_max)
-            if best is None or key > best[0]:
-                best = (key, candidate_config)
-    return best[1]
+    pairs = []
+    for nu in nu_values:
+        if is_number(nu):
+            pairs.append((nu, nu))
+        elif isinstance(nu, (tuple, list)) and len(nu) == 2:
+            pairs.append(tuple(nu))
+        else:
+            raise ValueError(f"nu_grid entry {nu!r} is neither a number nor a (nu1, nu2) pair")
+    candidates = [replace(base_config, nu1=nu1, nu2=nu2, k_max=k_max)
+                  for k_max in k_values for nu1, nu2 in pairs]
+
+    def train_f1(config: DetectorConfig) -> float:
+        events, _ = run_stream(train, config)
+        report = match_detections(train_truth, [e.change_point for e in events], tolerance)
+        tpr, ppv, _ = rates(report)
+        return 0.0 if (tpr + ppv) == 0 else 2 * tpr * ppv / (tpr + ppv)
+
+    # max keeps the first of equal keys, as a strict ">" scan would.
+    return max(candidates, key=lambda c: (train_f1(c), c.nu1, c.nu2, c.k_max))

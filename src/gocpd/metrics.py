@@ -24,7 +24,6 @@ class MatchReport:
     false_positives: int
     false_negatives: int
     pairs: list[tuple[int, int, int]]  # (true location, detected location, delay)
-    tolerance: int
 
 
 def check_tolerance(tolerance) -> None:
@@ -65,7 +64,6 @@ def match_detections(truth: list[int], detected: list[int], tolerance: int = 25)
         false_positives=len(detected) - len(pairs),
         false_negatives=len(truth) - len(pairs),
         pairs=pairs,
-        tolerance=tolerance,
     )
 
 
@@ -117,11 +115,8 @@ def evaluation_count_bound(domain_size: int) -> int:
     return 3 * (math.ceil(math.log(domain_size, 1.5)) + 1)
 
 
-def summary_markdown(rows: list[dict], columns: list[str] | None = None) -> str:
-    """Render score rows as a small Markdown table."""
-    if not rows:
-        return ""
-    columns = columns or list(rows[0].keys())
+def summary_markdown(rows: list[dict], columns: list[str]) -> str:
+    """Render score rows as a small Markdown table of ``columns``."""
     lines = ["| " + " | ".join(columns) + " |",
              "| " + " | ".join("---" for _ in columns) + " |"]
     for row in rows:

@@ -157,9 +157,9 @@ def _linalg():
     return _scipy_linalg
 
 
-def cholesky(mat: np.ndarray, lower: bool = False) -> np.ndarray:
-    """``scipy.linalg.cholesky``: every factorization of a model goes through here."""
-    return _linalg().cholesky(mat, lower=lower)
+def cholesky(mat: np.ndarray) -> np.ndarray:
+    """Lower factor by ``scipy.linalg.cholesky``: every model factorization goes here."""
+    return _linalg().cholesky(mat, lower=True)
 
 
 def chol_with_jitter(mat: np.ndarray) -> np.ndarray:
@@ -169,14 +169,14 @@ def chol_with_jitter(mat: np.ndarray) -> np.ndarray:
     past that the matrix is declared not positive definite.
     """
     try:
-        return cholesky(mat, lower=True)
+        return cholesky(mat)
     except np.linalg.LinAlgError:
         pass
     eye = np.eye(len(mat))
     eps = JITTER_INITIAL
     while eps <= JITTER_MAX:
         try:
-            return cholesky(mat + eps * eye, lower=True)
+            return cholesky(mat + eps * eye)
         except np.linalg.LinAlgError:
             eps *= 2.0
     raise NonPositiveDefinite(
@@ -254,7 +254,7 @@ class UniformGramFactor:
         k_new[m:] += params.noise_std**2 * np.eye(n - m)
         l21 = _linalg().solve_triangular(self._lower, k_new[:m], lower=True).T
         try:
-            l22 = cholesky(k_new[m:] - l21 @ l21.T, lower=True)
+            l22 = cholesky(k_new[m:] - l21 @ l21.T)
         except np.linalg.LinAlgError:
             self.limit = n
             return False

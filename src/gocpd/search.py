@@ -30,10 +30,13 @@ def effective_interval(t: int, last_change: int, candidate: int | None,
                        min_fit_points: int) -> tuple[int, int]:
     """Inclusive bounds ``(lo, hi)`` of the admissible split points at ``t``.
 
-    Combines the split-point domain ``[last_change + 1, t - 1]``, the
-    minimum size of both fitted segments, and the saved-candidate
-    truncation: timestamps before ``candidate`` are never searched again.
-    The domain is empty when ``hi < lo``.
+    ``lo`` leaves the search's left segment ``[last_change, tau - 1]`` at
+    least ``min_fit_points`` points, and the saved-candidate truncation
+    raises it to ``candidate``: timestamps before it are never searched
+    again. ``hi`` holds the criterion's right segment ``[tau + 1, t]`` at
+    ``min_fit_points``, so the search's own ``[tau, t]`` never has fewer
+    than ``min_fit_points + 1`` points, one more than ``SplitScorer``
+    accepts. The domain is empty when ``hi < lo``.
     """
     lo = last_change + min_fit_points
     if candidate is not None:

@@ -68,9 +68,6 @@ class TimeSeriesWindow:
     def channel_count(self) -> int:
         return self.outputs.shape[1]
 
-    def timestamps(self) -> np.ndarray:
-        return np.arange(self.start_index, self.start_index + len(self))
-
     def slice(self, a: int, b: int) -> "TimeSeriesWindow":
         """The sub-window for absolute timestamps ``a..b`` (inclusive), of views."""
         if a < self.start_index or b > self.end_index or a > b:

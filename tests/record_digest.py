@@ -1,12 +1,15 @@
 """sha256 digests of the detector's outputs, for showing that a change of
 the code keeps its behaviour byte for byte.
 
-For each perfbench workload and seed it replays the workload's streams
-(``perfbench/workloads.py``) through ``run_stream`` with the workload's
-config, and prints one sha256 over the canonical JSON of every stream's
-config, detection events and iteration records, with ``elapsed_s``, the
-one wall-clock field, dropped. It also prints one sha256 per seed of the
-``standard_script`` series of every preset, inputs, outputs and truth.
+For each perfbench workload it prints one sha256 of the canonical JSON of
+the workload's parsed config, on a line of its own, so a change to the
+config schema alone shows there and nowhere else. Then, for each seed, it
+replays the workload's streams (``perfbench/workloads.py``) through
+``run_stream`` with that config, and prints one sha256 over the canonical
+JSON of every stream's detection events and iteration records, with
+``elapsed_s``, the one wall-clock field, dropped. It also prints one
+sha256 per seed of the ``standard_script`` series of every preset, inputs,
+outputs and truth.
 Two checkouts behave the same on these inputs when they print the same
 lines. Not collected by pytest. Run from the repository root:
 
@@ -49,13 +52,12 @@ def seed_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def workload_digest(name: str, seed: int) -> tuple[str, int, int]:
-    """sha256 of the workload's records at ``seed``, with the event and record counts."""
-    config = DetectorConfig.from_dict(WORKLOADS[name]["config"])
+def workload_digest(name: str, config: DetectorConfig, seed: int) -> tuple[str, int, int]:
+    """sha256 of the workload's events and records at ``seed``, with their counts."""
     digest, n_events, n_records = hashlib.sha256(), 0, 0
     for i, (window, _) in enumerate(streams(name, seed)):
         events, records = run_stream(window, config)
-        lines = [{"kind": "meta", "stream": i, "config": config.to_dict()}]
+        lines = [{"kind": "meta", "stream": i}]
         lines += [e.to_dict() for e in events]
         lines += [{k: v for k, v in r.items() if k != "elapsed_s"} for r in records]
         for line in lines:
@@ -75,10 +77,14 @@ def script_digest(seed: int) -> str:
 
 
 def digest_lines(args) -> Iterator[str]:
-    """The report's lines, one per workload and seed, then one per script seed."""
+    """The report's lines: per workload its config, then one per seed; then
+    one per script seed."""
     for name in args.workloads.split(","):
+        config = DetectorConfig.from_dict(WORKLOADS[name]["config"])
+        config_sha = hashlib.sha256(canonical_json(config.to_dict()).encode()).hexdigest()
+        yield f"{name} config sha256={config_sha}"
         for seed in args.seeds:
-            hexdigest, n_events, n_records = workload_digest(name, seed)
+            hexdigest, n_events, n_records = workload_digest(name, config, seed)
             yield (f"{name} seed={seed} events={n_events} records={n_records} "
                    f"sha256={hexdigest}")
     for seed in args.script_seeds:

@@ -100,6 +100,14 @@ def test_generate_empty_script_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_script_must_be_an_object(tmp_path, capsys):
+    spath = tmp_path / "list.json"
+    write_json(spath, [{"preset": "mean"}])
+    rc = main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"error: {spath}: script must be a JSON object" in capsys.readouterr().err
+
+
 def test_generate_script_missing_fields(tmp_path, capsys):
     spath = tmp_path / "partial.json"
     write_json(spath, {"length": 100})
@@ -203,6 +211,43 @@ def test_detect_missing_config_field_names_it(tmp_path, step_csv, capsys):
     assert rc == 2
     assert "k_max" in capsys.readouterr().err
     assert not out.exists()  # no partial outputs on schema errors
+
+
+def test_detect_rejects_a_model_mean(tmp_path, step_csv, capsys):
+    # Every fit sets its segment means itself, so no prior mean is read.
+    doc = step_config_doc()
+    doc["model"]["mean"] = [5.0]
+    cpath = tmp_path / "mean.json"
+    write_json(cpath, doc)
+    rc = main(["detect", "--data", str(step_csv), "--config", str(cpath),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error: config.model has unknown field(s): mean" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, spoiled", [
+    ("detect", "config"), ("detect", "data"), ("score", "events"), ("bench", "config"),
+])
+def test_input_that_is_not_utf8_is_named(tmp_path, step_csv, config_path, capsys,
+                                         command, spoiled):
+    run = _write_run(tmp_path, "runs/r0", [51])
+    tpath = tmp_path / "truth.json"
+    write_json(tpath, {"locations": [50]})
+    paths = {"config": config_path, "data": step_csv, "events": run / "events.jsonl"}
+    bad, line = paths[spoiled], 2 if spoiled == "data" else 1
+    if command == "bench":
+        bad.write_bytes(bad.read_text().encode("utf-16"))
+    else:  # a 0xff byte in the first line, or in the first data row
+        lines = bad.read_bytes().split(b"\n")
+        lines[line - 1] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+    argv = {"detect": ["detect", "--data", str(step_csv), "--config", str(config_path),
+                       "--out", str(tmp_path / "run")],
+            "score": ["score", "--events", str(bad), "--truth", str(tpath)],
+            "bench": ["bench", "--data", str(step_csv), "--config", str(config_path)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: line {line}: byte 0x" in err and "is not UTF-8" in err
 
 
 def test_detect_fractional_batch_size_is_a_config_error(tmp_path, step_csv, capsys):
@@ -379,6 +424,15 @@ def test_score_directory_averages_runs(tmp_path, capsys):
     assert runs["r1"]["TPR"] == 0.0
     assert runs["mean"]["TPR"] == pytest.approx(0.5)
     assert (out_dir / "summary.md").exists()
+
+
+def test_score_directory_without_runs_is_named(tmp_path, capsys):
+    empty = tmp_path / "runs"
+    empty.mkdir()
+    tpath = tmp_path / "truth.json"
+    write_json(tpath, {"locations": [50]})
+    assert main(["score", "--events", str(empty), "--truth", str(tpath)]) == 2
+    assert f"error: {empty}: no */events.jsonl runs found" in capsys.readouterr().err
 
 
 def test_score_rejects_negative_tolerance(tmp_path, capsys):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gocpd.datagen import (FACTOR_TABLES, RegimeScript, downsample,
-                           sample_piecewise_gp, standard_script, standardize,
-                           step_example)
+from gocpd.datagen import (FACTOR_TABLES, RegimeScript, sample_piecewise_gp,
+                           standard_script, standardize, step_example)
 from gocpd.errors import NonFiniteObservation, ZeroVariance
 from gocpd.models import Kernel, ModelParams
 from gocpd.window import TimeSeriesWindow
@@ -43,6 +42,16 @@ def test_script_validation():
         RegimeScript(**{**base, "vary": "frequency"})
     with pytest.raises(ValueError):
         RegimeScript(**{**base, "length": 120})  # must exceed last change
+    for factor in (0, -2.0):
+        with pytest.raises(ValueError, match="factors must be > 0 when varying noise_std"):
+            RegimeScript(**{**base, "vary": "noise_std", "factors": [1, factor, 3]})
+
+
+def test_script_accepts_numpy_scalar_factors():
+    base = dict(length=200, change_locations=[0, 100], vary="lengthscale", seed=1)
+    plain = sample_piecewise_gp(RegimeScript(**base, factors=[2, 0.5]))[0]
+    numpy = sample_piecewise_gp(RegimeScript(**base, factors=[np.int64(2), np.float32(0.5)]))[0]
+    assert np.array_equal(plain.outputs, numpy.outputs)
 
 
 def test_mean_change_series_matches_scripted_levels():
@@ -190,27 +199,3 @@ def test_standardize_per_channel():
     assert np.allclose(out.outputs, [[-1, -1], [1, 1]])
     assert transform == [(1.0, 1.0), (20.0, 10.0)]
 
-
-# -- downsample -----------------------------------------------------------------
-
-def test_downsample_rate_one_is_identity():
-    w = TimeSeriesWindow(np.arange(10.0), np.arange(10.0))
-    assert downsample(w, 1) is w
-
-
-def test_downsample_keeps_every_rate_th():
-    w = TimeSeriesWindow(np.arange(10.0), np.arange(10.0))
-    out = downsample(w, 5)
-    assert len(out) == 2
-    assert list(out.inputs[:, 0]) == [0.0, 5.0]  # original positions kept in x
-
-
-def test_downsample_length_arithmetic():
-    w = TimeSeriesWindow(np.arange(4050.0), np.zeros(4050))
-    assert len(downsample(w, 10)) == 405
-
-
-def test_downsample_rejects_bad_rate():
-    w = TimeSeriesWindow(np.arange(4.0), np.zeros(4))
-    with pytest.raises(ValueError):
-        downsample(w, 0)

@@ -68,7 +68,7 @@ def test_config_validation():
 def test_config_rejects_a_channel_count_past_the_index_range():
     # 10**30 cannot be an index, so nothing is allocated for it.
     doc = DetectorConfig().to_dict()
-    doc["model"].update(channels=10**30, mean=[0.0])
+    doc["model"]["channels"] = 10**30
     with pytest.raises(ConfigError, match="model.channels"):
         DetectorConfig.from_dict(doc)
 
@@ -123,8 +123,6 @@ def _set_field(doc, field, value):
     ("nu2", True),                       # a bool is not a number
     ("model.noise_std", "0.1"),          # a string where a number goes
     ("model.fix_noise", "false"),        # a string where a bool goes
-    ("model.mean", "0"),                 # a mean that is not a list
-    ("model.mean", [math.nan]),
     ("model.noise_std", -1),             # hyperparameter bounds, checked at from_dict
     ("model.lengthscale", math.nan),
     ("model.output_scale", 0.0),
@@ -138,9 +136,9 @@ def test_config_from_dict_names_the_bad_field(field, value):
 def test_config_accepts_infinite_thresholds_and_numpy_scalars():
     doc = _set_field(step_config().to_dict(), "nu1", math.inf)
     doc.update(nu2=np.float64(1.5), k_max=np.int32(4))
-    doc["model"].update(noise_std=np.float32(0.25), mean=[np.int64(1)])
+    doc["model"]["noise_std"] = np.float32(0.25)
     cfg = DetectorConfig.from_dict(doc)
-    assert (cfg.nu1, cfg.nu2, cfg.k_max, cfg.model.mean) == (math.inf, 1.5, 4, [1])
+    assert (cfg.nu1, cfg.nu2, cfg.k_max, cfg.model.noise_std) == (math.inf, 1.5, 4, 0.25)
 
 
 _JSON_LIKE = st.recursive(
@@ -586,7 +584,7 @@ def test_two_channel_stream_detects_joint_mean_shift():
     # levels sit higher than in the single-channel configuration
     cfg = step_config(nu1=1.05, nu2=1.5,
                       model=ModelSpec(family="iid", noise_std=0.1, fix_noise=True,
-                                      min_fit_points=3, channels=2, mean=[0.0, 0.0]))
+                                      min_fit_points=3, channels=2))
     det = run_series(w, cfg)
     assert len(det.events) == 1
     assert 95 <= det.events[0].change_point <= 105
@@ -612,6 +610,30 @@ def test_grid_search_rejects_a_bad_tolerance_before_any_replay(tolerance, monkey
     with pytest.raises(ValueError, match="tolerance must be >= 0"):
         grid_search_thresholds(step_example(), [50], step_config(), nu_grid=(1.05,),
                                tolerance=tolerance)
+
+
+@pytest.mark.parametrize("grids, named", [
+    (dict(nu_grid=(1.05, -1.0)), "nu1 must be > 0"),
+    (dict(nu_grid=(1.05, "2")), "nu_grid entry '2' is neither a number nor a"),
+    (dict(nu_grid=(1.05, (1, 2, 3))), r"nu_grid entry \(1, 2, 3\) is neither"),
+    (dict(nu_grid=(1.05, (1.1, True))), "nu2 must be a number"),
+    (dict(nu_grid=(1.05,), k_max_grid=[5, 0]), "k_max must be >= 1"),
+])
+def test_grid_search_rejects_a_bad_grid_entry_before_any_replay(grids, named, monkeypatch):
+    def no_replay(*args):
+        raise AssertionError("replayed before checking the grid")
+
+    monkeypatch.setattr("gocpd.detector.run_stream", no_replay)
+    with pytest.raises(ValueError, match=named):
+        grid_search_thresholds(step_example(), [50], step_config(), **grids)
+
+
+def test_grid_search_ties_prefer_stricter_thresholds():
+    # No grid point detects on the train split, so every F1 is 0.
+    tuned = grid_search_thresholds(step_example(), [50], step_config(),
+                                   nu_grid=(40.0, (50.0, 45.0), 50.0, (45.0, 50.0)),
+                                   k_max_grid=[3, 5])
+    assert (tuned.nu1, tuned.nu2, tuned.k_max) == (50.0, 50.0, 5)
 
 
 def test_grid_search_prefers_detecting_config():

@@ -7,7 +7,8 @@ import csv
 import numpy as np
 import pytest
 
-from gocpd.fileio import _read_series_rows, read_series_csv, write_series_csv
+from gocpd.fileio import (_read_series_rows, _read_text, read_json, read_jsonl,
+                          read_series_csv, write_series_csv)
 from gocpd.window import TimeSeriesWindow
 
 
@@ -18,9 +19,8 @@ def csv_module_writer(path, window):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        ts = window.timestamps()
         for i in range(len(window)):
-            row = [int(ts[i])]
+            row = [window.start_index + i]
             row += [repr(float(v)) for v in window.inputs[i]]
             row += [repr(float(v)) for v in window.outputs[i]]
             writer.writerow(row)
@@ -43,7 +43,7 @@ def test_numpy_parse_matches_row_reader_bit_for_bit(tmp_path, n, d, c, start):
     path = tmp_path / "series.csv"
     write_series_csv(path, w)
     assert path.read_bytes().count(b"\r\n") == n + 1
-    fast, rows = read_series_csv(path), _read_series_rows(path, d, c)
+    fast, rows = read_series_csv(path), _read_series_rows(path, _read_text(path), d, c)
     for back in (fast, rows):
         assert back.start_index == start and type(back.start_index) is int
         assert back.inputs.tobytes() == w.inputs.tobytes()
@@ -73,6 +73,7 @@ MALFORMED = [
     ("t,x0,y0\n0,0.0,1.0\n1.0,1.0,2.0\n",
      "row 3: invalid literal for int() with base 10: '1.0'"),
     ("t,x0,y0\n0,0.0,1.0\n# comment\n", "row 3 has 1 fields, expected 3"),
+    ("time,x0,y0\n0,0.0,1.0\n", "first column must be 't', got ['time']"),
 ]
 
 
@@ -104,3 +105,26 @@ def test_header_must_be_exact(tmp_path, header):
     with pytest.raises(ValueError, match="header must be") as info:
         read_series_csv(path)
     assert str(path) in str(info.value)
+
+
+def test_malformed_jsonl_line_is_named(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n{"b": \n')
+    with pytest.raises(ValueError) as info:
+        read_jsonl(path)
+    assert str(info.value).startswith(f"{path}: line 3: Expecting value")
+
+
+@pytest.mark.parametrize("reader, data, message", [
+    (read_json, b"\xff{}", "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+    (read_json, '{"nu1": 2}'.encode("utf-16"), "line 1: byte 0xff is not UTF-8"),
+    (read_series_csv, b"t,x0,y0\r\n0,0.0,1.0\r\n1,1.0,\xff\r\n",
+     "line 3: byte 0xff is not UTF-8"),
+    (read_jsonl, b'{"a": 1}\n{"b": "\xe2\x82"}\n', "line 2: byte 0xe2 is not UTF-8"),
+])
+def test_text_that_is_not_utf8_names_the_file_and_line(tmp_path, reader, data, message):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}: {message}")

@@ -49,21 +49,21 @@ def test_matching_shift_invariant():
 
 
 def test_rates_basic():
-    tpr, ppv, fdr = rates(MatchReport(6, 0, 1, [], 25))
+    tpr, ppv, fdr = rates(MatchReport(6, 0, 1, []))
     assert tpr == pytest.approx(6 / 7)
     assert ppv == 1.0
     assert fdr == 0.0
 
 
 def test_rates_table_style():
-    tpr, ppv, fdr = rates(MatchReport(7, 2, 0, [], 25))
+    tpr, ppv, fdr = rates(MatchReport(7, 2, 0, []))
     assert tpr == 1.0
     assert ppv == pytest.approx(7 / 9, abs=0.005)
     assert fdr == pytest.approx(1 - 7 / 9)
 
 
 def test_rates_vacuous_case():
-    assert rates(MatchReport(0, 0, 0, [], 25)) == (1.0, 1.0, 0.0)
+    assert rates(MatchReport(0, 0, 0, [])) == (1.0, 1.0, 0.0)
 
 
 @given(st.lists(st.integers(0, 1000), max_size=8),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +175,19 @@ def test_iid_model_equals_the_numpy_formulas_exactly(channels, fix_noise, level)
         assert m.log_likelihood(w) == ll
         assert m.avg_log_likelihood(w) == ll / len(w)
         assert m.mahalanobis(w) == float(np.sqrt(np.sum((resid / noise)**2)))
+
+
+def test_window_of_another_channel_count_is_rejected():
+    two = TimeSeriesWindow(np.arange(5.0), np.zeros((5, 2)))
+    for model in (iid(), gp()):
+        for call in (model.fit, model.log_likelihood, model.mahalanobis):
+            with pytest.raises(ValueError, match="window has 2 channels, model expects 1"):
+                call(two)
+
+
+def test_gp_requires_a_kernel():
+    with pytest.raises(ValueError, match="requires a kernel"):
+        GaussianProcessModel(ModelParams(mean=[0.0], noise_std=0.2))
 
 
 def test_fit_rejects_short_windows():
@@ -501,6 +515,21 @@ def test_grid_factor_unused_on_nonuniform_inputs_or_learned_hyperparameters():
     assert fast.gram_factor is None  # a learned model owns no grid factor
     assert_models_agree(fast, fixed_gp(dense=True, **learned), uniform, rel=0)
     assert fast.prefix is None and fast.suffix is None
+
+
+def test_grid_factor_serves_only_its_own_hyperparameters():
+    # A fixed model whose params a caller replaced takes the dense path.
+    segment = grid_window(30, 1, seed=26)
+    model = fixed_gp()
+    model.fit(segment)
+    factor = model.gram_factor
+    lower, size = factor._lower, factor.size
+    model.params = replace(model.params, lengthscale=0.7)
+    assert factor.leading(segment.inputs, model.params) is None
+    fresh = fixed_gp(lengthscale=0.7, dense=True)
+    assert_models_agree(model, fresh, segment, rel=0)
+    assert model.prefix is None and model.suffix is None
+    assert factor._lower is lower and factor.size == size == 30
 
 
 def test_grid_factor_growth_failure_falls_back_to_jitter():

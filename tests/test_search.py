@@ -98,6 +98,12 @@ def test_evaluation_count_is_logarithmic():
         assert len(score.evaluated) <= evaluation_count_bound(n)
 
 
+def test_equal_probes_narrow_to_the_middle_third():
+    # Every probe ties, so the bracket shrinks to its middle third each level
+    # and the final scan breaks the tie towards the earliest split.
+    assert ternary_argmax(lambda tau: 1.0, 0, 20, tol=2) == 9
+
+
 def test_empty_domain_raises():
     with pytest.raises(EmptyDomain):
         ternary_argmax(lambda tau: 0.0, 5, 4, tol=2)
@@ -130,6 +136,27 @@ def test_split_score_rejects_tiny_segments():
         SplitScorer(w, fixed_iid(), fixed_iid()).evaluate(1)
     with pytest.raises(TooFewPoints):
         SplitScorer(w, fixed_iid(), fixed_iid()).evaluate(100)
+
+
+def test_split_outside_the_window_is_rejected():
+    w = step_window()
+    for tau in (w.start_index, w.end_index + 1):
+        with pytest.raises(ValueError, match=f"split {tau} outside window"):
+            SplitScorer(w, fixed_iid(), fixed_iid()).evaluate(tau)
+
+
+def test_split_read_from_tables_rejects_tiny_segments():
+    w = step_window()
+    params = ModelParams(mean=[0.0], noise_std=0.1, lengthscale=2.0, kernel=Kernel.RBF)
+    m0, m1, m2 = (GaussianProcessModel(params, fix_kernel=True, fix_noise=True)
+                  for _ in range(3))
+    m0.fit(w)
+    scorer = SplitScorer(w, m1, m2, m0.prefix, m0.suffix)
+    assert scorer.prefix is not None
+    for tau in (w.start_index + 2, w.end_index - 1):
+        with pytest.raises(TooFewPoints):
+            scorer.evaluate(tau)
+    assert scorer.cache == {}
 
 
 def test_scorer_memoizes_and_counts_unique_evaluations():

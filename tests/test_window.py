@@ -12,7 +12,6 @@ def test_basic_shape_and_length():
     assert w.end_index == 14
     assert w.input_dim == 1
     assert w.channel_count == 1
-    assert list(w.timestamps()) == [10, 11, 12, 13, 14]
 
 
 def test_slice_is_inclusive_on_both_ends():
