@@ -84,7 +84,8 @@ def _read_truth(path) -> list[int]:
 
 
 def _perturbed_model(config: DetectorConfig, seed: int) -> DetectorConfig:
-    """Randomize the model initialization for one repetition run."""
+    """Randomize the model initialization for one repetition run: scale
+    ``lengthscale``, ``output_scale`` and ``noise_std`` by ``exp(0.05 z)``."""
     rng = np.random.default_rng(seed)
     doc = config.to_dict()
     model = doc["model"]
@@ -110,6 +111,10 @@ def _detect_once(series, config: DetectorConfig, out: Path, seed: int, data_path
 
 def cmd_detect(args) -> int:
     config = DetectorConfig.from_dict(read_json(args.config))
+    if args.reps > 1 and config.model.family == "iid" and not config.model.fix_noise:
+        raise ConfigError(f"--reps {args.reps}: an IID model with learned noise reads none of "
+                          "the values --reps varies, so its runs cannot differ; set "
+                          "model.fix_noise or use --reps 1")
     series = read_series_csv(args.data)
     if args.standardize:
         series, _ = datagen.standardize(series)

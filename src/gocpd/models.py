@@ -59,7 +59,16 @@ innovations are the first ``r`` innovations of the reversed window under
 the same leading factor. ``fit`` whitens ``[1, y - y[0], rev(y) - y[-1]]``
 in one solve and keeps the forward sums as ``prefix`` and the backward
 ones as ``suffix``, each with the score of every segment it covers in a
-table (``PrefixSums.scores``), as in Truong, Oudre & Vayatis (2020).
+table (``PrefixSums.scores``), as in Truong, Oudre & Vayatis (2020). The
+two tables are the rows of one float64 array, built with no Python object
+per entry; a search reads only the few entries it probes.
+
+The triangular solves of the whitening, of the grid factor's growth and
+of the learned fit's gradient skip scipy's finite check
+(``check_finite=False``): each solves against a factor that ``cholesky``
+checked, or the grid factor grown from it, and the grid's Gram is built
+here from finite hyperparameters. ``cholesky`` itself and ``_posterior``,
+whose training window comes from the caller, keep the check.
 
 Only the GP family needs scipy: ``scipy.linalg`` is imported when the
 first GP model is built, so a process with IID models alone never loads it.
@@ -252,7 +261,8 @@ class UniformGramFactor:
         grid = np.arange(n)[:, None] * self.dx
         k_new = gram(grid, grid[m:], params)
         k_new[m:] += params.noise_std**2 * np.eye(n - m)
-        l21 = _linalg().solve_triangular(self._lower, k_new[:m], lower=True).T
+        l21 = _linalg().solve_triangular(self._lower, k_new[:m], lower=True,
+                                         check_finite=False).T
         try:
             l22 = cholesky(k_new[m:] - l21 @ l21.T)
         except np.linalg.LinAlgError:
@@ -284,7 +294,10 @@ class PrefixSums:
     (``ref = y[-1]``) score its last ``m`` points in the same way.
 
     A backward whitening tabulates ``scores[m] = log_likelihood(m, mean(m)) / m``,
-    the average log-likelihood at the segment's own means; ``scores[0]`` is NaN.
+    the average log-likelihood at the segment's own means, in a float64
+    array of ``len(window) + 1`` entries whose ``scores[0]`` is NaN. The
+    forward and backward tables are the two rows of one array; a reader
+    takes each entry it needs as a Python float, ``scores.item(m)``.
     """
 
     window: TimeSeriesWindow
@@ -293,7 +306,7 @@ class PrefixSums:
     logdet: np.ndarray
     s1y: np.ndarray
     syy: np.ndarray
-    scores: list[float] | None = None
+    scores: np.ndarray | None = None
 
     @classmethod
     def whiten(cls, window: TimeSeriesWindow, chol_lower: np.ndarray,
@@ -320,8 +333,8 @@ class PrefixSums:
         m = np.arange(1, len(y) + 1)[:, None]
         shift = (ref + a / g) - ref
         quad = (syy[1:] - 2.0 * shift * a + shift**2 * g).reshape(-1, 2, c).sum(axis=2)
-        scores = [[math.nan] + col for col in
-                  (-0.5 * (quad + c * (logdet[1:, None] + m * LOG_2PI)) / m).T.tolist()]
+        scores = np.full((2, len(y) + 1), math.nan)
+        scores[:, 1:] = (-0.5 * (quad + c * (logdet[1:, None] + m * LOG_2PI)) / m).T
         return (cls(window, y[0], s11, logdet, s1y[:, :c], syy[:, :c], scores[0]),
                 cls(window, y[-1], s11, logdet, s1y[:, c:], syy[:, c:], scores[1]))
 
@@ -553,7 +566,7 @@ class GaussianProcessModel(ObservationModel):
         from the factor ``_objective`` returned (the means leave the Gram alone)
         and the inputs' squared distances ``sq``."""
         y, x = window.outputs, window.inputs
-        kinv = _linalg().cho_solve((chol_lower, True), np.eye(len(y)))
+        kinv = _linalg().cho_solve((chol_lower, True), np.eye(len(y)), check_finite=False)
         alphas = [kinv @ (y[:, c] - params.mean[c]) for c in range(self.channel_count)]
         dmats = []  # noisy-Gram derivatives, in ``fitted`` order
         if "lengthscale" in self.fitted:

@@ -99,7 +99,7 @@ class SplitScorer:
             m, r = tau - win.start_index, win.end_index - tau + 1
             if m < self.left_model.min_fit_points or r < self.right_model.min_fit_points:
                 raise TooFewPoints(f"split {tau} leaves a segment below the fitting minimum")
-            value = self.prefix.scores[m] + self.suffix.scores[r]
+            value = self.prefix.scores.item(m) + self.suffix.scores.item(r)
         self.cache[tau] = value
         return value
 

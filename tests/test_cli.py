@@ -493,6 +493,22 @@ def test_detect_reps_write_separate_run_dirs(tmp_path, step_csv, config_path):
     assert main(["score", "--events", str(out), "--truth", str(tpath)]) == 0
 
 
+def test_detect_reps_on_a_model_they_cannot_vary_is_rejected(tmp_path, step_csv, capsys):
+    config = step_config_doc()
+    config["model"]["fix_noise"] = False
+    path = tmp_path / "learned_noise.json"
+    write_json(path, config)
+    out = tmp_path / "reps"
+    rc = main(["detect", "--data", str(step_csv), "--config", str(path),
+               "--out", str(out), "--reps", "3"])
+    assert rc == 2
+    assert "runs cannot differ" in capsys.readouterr().err
+    assert not out.exists()
+    # One run of the same model is still fine.
+    assert main(["detect", "--data", str(step_csv), "--config", str(path),
+                 "--out", str(out)]) == 0
+
+
 def test_bench_reports_timing(tmp_path, step_csv, config_path, capsys):
     out = tmp_path / "bench"
     rc = main(["bench", "--data", str(step_csv), "--config", str(config_path),

@@ -611,8 +611,8 @@ def test_grid_factor_block_cannot_be_written():
     fresh = fixed_gp(channels=2)
     for model in (fast, fresh):
         model.fit(segment)
-    assert fast.prefix.scores == fresh.prefix.scores
-    assert fast.suffix.scores == fresh.suffix.scores
+    np.testing.assert_array_equal(fast.prefix.scores, fresh.prefix.scores)
+    np.testing.assert_array_equal(fast.suffix.scores, fresh.suffix.scores)
 
 
 # -- prefix sums (one whitening per window) vs slice + fit -------------------------
@@ -665,7 +665,8 @@ def test_score_tables_equal_the_scalar_formula(kernel, lengthscale, channels, le
     n = len(window)
     for sums in (det.m0.prefix, det.m0.suffix):
         assert len(sums.scores) == n + 1 and math.isnan(sums.scores[0])
-        assert sums.scores[1:] == [scalar_segment_score(sums, m) for m in range(1, n + 1)]
+        np.testing.assert_array_equal(
+            sums.scores[1:], [scalar_segment_score(sums, m) for m in range(1, n + 1)])
 
 
 @pytest.mark.parametrize("kernel, lengthscale", PREFIX_KERNELS)

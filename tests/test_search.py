@@ -3,7 +3,9 @@ import pytest
 
 from conftest import params_equal
 
+import gocpd.detector as detector_module
 from gocpd.datagen import step_example
+from gocpd.detector import DetectorConfig, ModelSpec, run_stream
 from gocpd.errors import EmptyDomain, TooFewPoints
 from gocpd.metrics import evaluation_count_bound
 from gocpd.models import GaussianProcessModel, IidGaussianModel, Kernel, ModelParams
@@ -157,6 +159,28 @@ def test_split_read_from_tables_rejects_tiny_segments():
         with pytest.raises(TooFewPoints):
             scorer.evaluate(tau)
     assert scorer.cache == {}
+
+
+def test_table_scores_reach_caches_records_and_events_as_python_floats(monkeypatch):
+    # The tables are float64 arrays. A numpy scalar passes isinstance(v, float)
+    # but is another type to every reader (its repr is np.float64(...)), so the
+    # type must be exact.
+    scorers = []
+
+    class RecordingScorer(SplitScorer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            scorers.append(self)
+
+    monkeypatch.setattr(detector_module, "SplitScorer", RecordingScorer)
+    config = DetectorConfig(nu1=1.05, nu2=1.05, k_max=3, t_ini=20, wait=10, model=ModelSpec(
+        family="gp", lengthscale=5.0, noise_std=0.1, fix_kernel=True,
+        fix_output_scale=True, fix_noise=True))
+    events, records = run_stream(step_example(), config)
+    assert scorers and all(scorer.prefix is not None for scorer in scorers)
+    assert {type(v) for scorer in scorers for v in scorer.cache.values()} == {float}
+    assert {type(r["score"]) for r in records if r["searched"]} == {float}
+    assert events and {type(e.candidate_score) for e in events} == {float}
 
 
 def test_scorer_memoizes_and_counts_unique_evaluations():
