@@ -28,31 +28,19 @@ import numpy as np
 
 from . import datagen
 from .detector import Detector, DetectorConfig, grid_search_thresholds, run_stream
-from .errors import ConfigError, GocpdError, is_int
+from .errors import ConfigError, GocpdError, check_keys, is_int
 from .fileio import (numbered_jsonl, read_json, read_series_csv, write_json,
                      write_jsonl, write_series_csv)
 from .metrics import (aggregate_instrumentation, match_detections, rates,
                       summary_markdown)
-
-PRESET_SCRIPTS = tuple(datagen.FACTOR_TABLES)
 
 
 def _load_script(args) -> datagen.RegimeScript:
     if args.preset:
         return datagen.standard_script(args.preset, seed=args.seed)
     doc = read_json(args.script)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{args.script}: script must be a JSON object")
     required = ("length", "change_locations", "vary", "factors")
-    known = ("preset", "seed") if "preset" in doc else required + ("seed", "base")
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ConfigError(f"{args.script}: script has unknown field(s): {', '.join(unknown)}")
-    if "preset" in doc:
-        return datagen.standard_script(doc["preset"], seed=doc.get("seed", args.seed))
-    missing = [name for name in required if name not in doc]
-    if missing:
-        raise ConfigError(f"{args.script}: script missing field(s): {', '.join(missing)}")
+    check_keys(doc, f"{args.script}: script", required + ("seed", "base"), required)
     return datagen.RegimeScript(**{name: doc[name] for name in required},
                                 seed=doc.get("seed", args.seed),
                                 base_params=datagen.base_params(doc.get("base", {})))
@@ -264,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="render a regime script to CSV + truth JSON")
     group = p_gen.add_mutually_exclusive_group(required=True)
     group.add_argument("--script", help="regime script JSON path")
-    group.add_argument("--preset", choices=PRESET_SCRIPTS,
+    group.add_argument("--preset", choices=tuple(datagen.FACTOR_TABLES),
                        help="bundled 1000-point script varying one hyperparameter")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="output directory")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ZeroVariance, check_fields, is_number
+from .errors import ConfigError, ZeroVariance, check_fields, check_keys, is_number
 from .models import Kernel, ModelParams, chol_with_jitter, noisy_gram
 from .window import TimeSeriesWindow, require_finite
 
@@ -37,14 +37,11 @@ MIN_SEGMENT_GAP = 50
 
 def base_params(base: dict) -> ModelParams:
     """A script's base hyperparameters: ``DEFAULT_BASE`` with the fields of
-    ``base`` put over it. Raises ConfigError naming ``base.<field>`` for an
-    unknown field or a bad value."""
-    if not isinstance(base, dict):
-        raise ConfigError("base must be a JSON object")
+    ``base`` put over it. Raises ConfigError naming ``base`` for an unknown
+    field and ``base.<field>`` for a bad value."""
+    check_keys(base, "base", DEFAULT_BASE)
     kinds = [kind.value for kind in Kernel]
     for name, value in base.items():
-        if name not in DEFAULT_BASE:
-            raise ConfigError(f"base.{name} is not one of {', '.join(DEFAULT_BASE)}")
         if name == "kernel" and value not in kinds:
             raise ConfigError(f"base.kernel must be one of {', '.join(kinds)}, got {value!r}")
         if name != "kernel" and not (is_number(value) and -np.inf < value < np.inf):

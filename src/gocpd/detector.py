@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Iterable, Iterator
 
 from .errors import (ConfigError, NonPositiveDefinite, TooFewPoints, check_fields,
-                     is_number)
+                     check_keys, is_number)
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel)
 from .search import SplitScorer, effective_interval, ternary_argmax
@@ -123,16 +123,9 @@ class DetectorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DetectorConfig":
-        model_doc = doc.get("model", {}) if isinstance(doc, dict) else None
-        for where, part, owner in (("config", doc, cls), ("config.model", model_doc, ModelSpec)):
-            if not isinstance(part, dict):
-                raise ConfigError(f"{where} must be a JSON object")
-            unknown = sorted(map(str, set(part) - {f.name for f in fields(owner)}))
-            if unknown:
-                raise ConfigError(f"{where} has unknown field(s): {', '.join(unknown)}")
-        missing = [name for name in cls.REQUIRED if name not in doc]
-        if missing:
-            raise ConfigError(f"config missing required field(s): {', '.join(missing)}")
+        check_keys(doc, "config", [f.name for f in fields(cls)], cls.REQUIRED)
+        model_doc = doc.get("model", {})
+        check_keys(model_doc, "config.model", [f.name for f in fields(ModelSpec)])
         return cls(**{**doc, "model": ModelSpec(**model_doc)})
 
 
@@ -251,10 +244,14 @@ class Detector:
         current single-model parameters; segments are treated
         independently (no cross-segment covariance). The split is
         ``[last_change, candidate] | [candidate + 1, t]``, one point right of
-        the search's ``[start, tau - 1] | [tau, t]`` and of the reset's.
+        the search's ``[start, tau - 1] | [tau, t]`` and of the reset's. A
+        candidate outside ``[last_change, t - 1]`` is an IndexError.
         """
+        t = self.window.end_index
+        if not self.last_change <= candidate < t:
+            raise IndexError(f"candidate {candidate} outside [{self.last_change}, {t - 1}]")
         d_left = self._distance(self.m0.prefix, self.last_change, candidate)
-        d_right = self._distance(self.m0.suffix, candidate + 1, self.window.end_index)
+        d_right = self._distance(self.m0.suffix, candidate + 1, t)
         ok = d_left > self.config.nu1 and d_right > self.config.nu2
         return ok, d_left, d_right
 

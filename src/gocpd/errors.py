@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the field check that
-raises ``ConfigError``."""
+"""Exception types shared across the package, and the document and field
+checks that raise ``ConfigError``."""
 
 import math
 from dataclasses import fields
@@ -63,6 +63,20 @@ _KINDS = {
     "list[float]": ("a list of finite numbers", lambda v: isinstance(v, list) and all(
         is_number(x) and -math.inf < x < math.inf for x in v)),
 }
+
+
+def check_keys(doc, where: str, known, required=()) -> None:
+    """Raise ConfigError naming the document ``where`` unless ``doc`` is a JSON
+    object of ``known`` fields that holds every ``required`` one."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(map(str, set(doc) - set(known)))
+    if unknown:
+        raise ConfigError(f"{where} has unknown field(s): {', '.join(unknown)} "
+                          f"(known: {', '.join(known)})")
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise ConfigError(f"{where} missing required field(s): {', '.join(missing)}")
 
 
 def check_fields(owner, prefix: str = "", **bounds) -> None:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NonContiguousBatch, NonFiniteObservation
+from .errors import NonContiguousBatch, NonFiniteObservation, is_int
 
 
 class TimeSeriesWindow:
@@ -25,7 +25,7 @@ class TimeSeriesWindow:
     outputs : array_like, shape (n, C) or (n,)
         Output vectors; a 1-D array is treated as C = 1.
     start_index : int
-        Absolute timestamp of the first element.
+        Absolute timestamp of the first element: a Python or numpy integer.
     """
 
     __slots__ = ("inputs", "outputs", "start_index")
@@ -43,6 +43,8 @@ class TimeSeriesWindow:
             raise ValueError(f"inputs ({len(x)}) and outputs ({len(y)}) differ in length")
         if len(x) == 0:
             raise ValueError("window must contain at least one observation")
+        if not is_int(start_index):
+            raise ValueError(f"start_index must be an integer, got {start_index!r}")
         self.inputs, self.outputs, self.start_index = x, y, int(start_index)
 
     @classmethod

@@ -132,7 +132,8 @@ def test_generate_script_bad_field_is_named(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("base, named", [
-    ([0.1], "base must be"), ({"nosie_std": 0.1}, "base.nosie_std is not one of"),
+    ([0.1], "base must be"),
+    ({"nosie_std": 0.1}, "error: base has unknown field(s): nosie_std (known: lengthscale,"),
     ({"noise_std": "0.1"}, "base.noise_std must be"), ({"mean": "1"}, "base.mean must be"),
     ({"mean": float("nan")}, "base.mean must be"), ({"lengthscale": True}, "base.lengthscale"),
     ({"kernel": 5}, "error: base.kernel must be one of rbf, dirac, got 5"),
@@ -154,8 +155,8 @@ def test_generate_script_bad_base_is_named(tmp_path, capsys, base, named):
 @pytest.mark.parametrize("script, named", [
     ({"length": 200, "change_locations": [0, 100], "vary": "mean", "factors": [0, 1],
       "nosie_std": 3}, "unknown field(s): nosie_std"),
-    ({"preset": "mean", "sede": 4}, "unknown field(s): sede"),
-    ({"preset": "mean", "length": 200, "base": {}}, "unknown field(s): base, length"),
+    ({"preset": "mean", "sede": 4}, "unknown field(s): preset, sede"),
+    ({"preset": "mean", "length": 200, "base": {}}, "unknown field(s): preset (known:"),
 ])
 def test_generate_script_unknown_key_is_named(tmp_path, capsys, script, named):
     spath = tmp_path / "script.json"
@@ -166,11 +167,14 @@ def test_generate_script_unknown_key_is_named(tmp_path, capsys, script, named):
     assert not (tmp_path / "x").exists()
 
 
-def test_generate_script_preset_form_takes_a_seed(tmp_path):
+def test_generate_script_holding_a_preset_names_it(tmp_path, capsys):
+    # A bundled series is asked for with --preset NAME --seed N alone.
     spath = tmp_path / "script.json"
     spath.write_text(json.dumps({"preset": "mean", "seed": 4}))
-    assert main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")]) == 0
-    assert json.loads((tmp_path / "x" / "truth.json").read_text())["seed"] == 4
+    assert main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")]) == 2
+    assert (f"error: {spath}: script has unknown field(s): preset (known: length, "
+            "change_locations, vary, factors, seed, base)") in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_generate_script_base_overrides_the_defaults(tmp_path):

@@ -493,6 +493,25 @@ def test_fixed_gp_shared_factor_matches_dense_detector():
                 assert got[key] == want[key], key
 
 
+@pytest.mark.parametrize("family", ["gp", "iid"])
+def test_criterion_rejects_a_candidate_that_empties_a_segment(family):
+    # A fixed GP reads both distances from m0's tables, an IID model from
+    # slices; a candidate at t or before last_change is refused on both.
+    y = np.random.default_rng(4).normal(0, 0.1, 120)
+    window = TimeSeriesWindow(np.arange(120.0), y)
+    det = Detector(step_config(model=ModelSpec(
+        family=family, noise_std=0.1, output_scale=0.1, fix_kernel=True,
+        fix_output_scale=True, fix_noise=True)))
+    det.window, det.last_change = window, 0
+    det.m0.fit(window)
+    assert (det.m0.prefix is not None) == (family == "gp")
+    for candidate in (119, -1, 200):
+        with pytest.raises(IndexError, match=rf"candidate {candidate} outside \[0, 118\]"):
+            det.criterion(candidate)
+    for candidate in (0, 118):
+        det.criterion(candidate)
+
+
 # -- thresholds and persistence -----------------------------------------------------
 
 def test_infinite_thresholds_never_detect():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,17 @@ def test_basic_shape_and_length():
     assert w.end_index == 14
     assert w.input_dim == 1
     assert w.channel_count == 1
+
+
+@pytest.mark.parametrize("start", [1.5, "3", True, np.float64(2.9)])
+def test_start_index_must_be_an_integer(start):
+    with pytest.raises(ValueError, match=re.escape(f"start_index must be an integer, got {start!r}")):
+        TimeSeriesWindow(np.arange(5.0), np.ones(5), start_index=start)
+
+
+def test_start_index_takes_a_numpy_integer_as_an_int():
+    w = TimeSeriesWindow(np.arange(5.0), np.ones(5), start_index=np.int64(7))
+    assert type(w.start_index) is int and w.start_index == 7
 
 
 def test_slice_is_inclusive_on_both_ends():

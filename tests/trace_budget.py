@@ -8,8 +8,9 @@ unchanged ``perfbench/run.py --trace 1`` on ``iid_mean_changes`` and
 ``gp_rbf_fixed`` for each seed, and with ``--against OTHER_ROOT`` on a
 second checkout too, alternating which side runs first. Per run it prints
 ``correct``, ``trace.step_coverage``, ``search.evals`` and
-``models.cholesky.calls``. Per side and workload it prints the mean
-coverage over the seeds, the lowest run, and that run's remaining budget
+``models.cholesky.calls``; ``--workloads gp_rbf_fixed`` runs one of the two
+only. Per side and workload it prints the mean coverage over the seeds,
+the lowest run, and that run's remaining budget
 ``1 - (1 - c_min) / 0.05``: the share of traced step time that a change
 may still remove from the covered spans before the run falls below 0.95.
 It exits 1 if any run reports correct=false. Run from anywhere:
@@ -40,6 +41,15 @@ def seed_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def workload_list(text: str) -> list[str]:
+    """``"gp_rbf_fixed"`` or ``"iid_mean_changes,gp_rbf_fixed"`` as a list of workloads."""
+    names = text.split(",")
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown workload(s): {', '.join(unknown)}")
+    return names
+
+
 def traced_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result line of one traced perfbench run in the checkout ``root``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -62,6 +72,8 @@ def main() -> None:
                         help='e.g. "0-3" or "0,2"')
     parser.add_argument("--seconds", type=float, default=40.0,
                         help="replay length of each run (default: 40)")
+    parser.add_argument("--workloads", type=workload_list, default=list(WORKLOADS),
+                        help="comma-separated, from " + ", ".join(WORKLOADS) + " (default: both)")
     parser.add_argument("--against", type=Path, metavar="OTHER_ROOT",
                         help="root of a second checkout to run beside this one")
     args = parser.parse_args()
@@ -73,9 +85,9 @@ def main() -> None:
     for side, root in sides.items():
         print(f"side {side}: {root}")
 
-    coverages = {(side, w): [] for side in sides for w in WORKLOADS}
+    coverages = {(side, w): [] for side in sides for w in args.workloads}
     all_correct, turn = True, 0
-    for workload in WORKLOADS:
+    for workload in args.workloads:
         for seed in args.seeds:
             order = list(sides) if turn % 2 == 0 else list(sides)[::-1]
             turn += 1
