@@ -244,9 +244,11 @@ class Detector:
         current single-model parameters; segments are treated
         independently (no cross-segment covariance). The split is
         ``[last_change, candidate] | [candidate + 1, t]``, one point right of
-        the search's ``[start, tau - 1] | [tau, t]`` and of the reset's. A
-        candidate outside ``[last_change, t - 1]`` is an IndexError.
+        the search's ``[start, tau - 1] | [tau, t]`` and of the reset's. A candidate
+        before the first ``step`` or outside ``[last_change, t - 1]`` is an IndexError.
         """
+        if self.window is None:
+            raise IndexError(f"candidate {candidate} before the first step")
         t = self.window.end_index
         if not self.last_change <= candidate < t:
             raise IndexError(f"candidate {candidate} outside [{self.last_change}, {t - 1}]")

@@ -23,7 +23,7 @@ class MatchReport:
     true_positives: int
     false_positives: int
     false_negatives: int
-    pairs: list[tuple[int, int, int]]  # (true location, detected location, delay)
+    pairs: list[tuple[int, int]]  # (true location, detected location)
 
 
 def check_tolerance(tolerance) -> None:
@@ -57,7 +57,7 @@ def match_detections(truth: list[int], detected: list[int], tolerance: int = 25)
             continue
         matched_truth.add(c)
         matched_detected.add(d)
-        pairs.append((c, d, d - c))
+        pairs.append((c, d))
     pairs.sort()
     return MatchReport(
         true_positives=len(pairs),

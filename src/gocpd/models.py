@@ -9,18 +9,17 @@ stay model-agnostic:
   Dirac-delta) and per-channel constant mean; channels are modeled as
   independent outputs, so joint covariances are block-diagonal.
 
-Every model exposes:
+Every model exposes what the search and the detector read:
 
 * ``fit(window)`` -- maximum-likelihood parameter fitting;
 * ``log_likelihood(window)`` -- exact Gaussian (marginal) log-density;
 * ``avg_log_likelihood(window)`` -- log-likelihood divided by window length;
-* ``posterior(query_inputs, train=...)`` -- predictive mean and covariance,
-  either the marginal under the fitted parameters (``train=None``) or the
-  conditional Gaussian given a training window; it shapes the query inputs
-  once and hands them to the family's ``_posterior(q, train)``;
 * ``mahalanobis(window)`` / ``modified_mahalanobis(window)`` -- the distance
   ``sqrt(r^T Sigma^{-1} r)`` of the observations from the fitted means under
   the marginal covariance, and the length-corrected variant ``d^(2/n)``.
+
+Only the GP predicts: ``GaussianProcessModel.posterior(query_inputs, train)``
+is the Gaussian of the noisy outputs at the query inputs given a training window.
 
 Every fit starts from the model's current ``params`` and ends by binding
 ``params`` to a new ``ModelParams`` built in that call; it never writes to
@@ -67,7 +66,7 @@ The triangular solves of the whitening, of the grid factor's growth and
 of the learned fit's gradient skip scipy's finite check
 (``check_finite=False``): each solves against a factor that ``cholesky``
 checked, or the grid factor grown from it, and the grid's Gram is built
-here from finite hyperparameters. ``cholesky`` itself and ``_posterior``,
+here from finite hyperparameters. ``cholesky`` itself and ``posterior``,
 whose training window comes from the caller, keep the check.
 
 Only the GP family needs scipy: ``scipy.linalg`` is imported when the
@@ -362,10 +361,10 @@ class PrefixSums:
 class ObservationModel:
     """Base class: parameter bookkeeping plus the shared distance metrics.
 
-    Concrete families implement ``fit``, ``log_likelihood``, ``_posterior``
-    and the marginal ``mahalanobis``; ``avg_log_likelihood``,
-    ``modified_mahalanobis`` and ``posterior`` derive from them. Instances
-    are single-writer: do not fit and predict concurrently on the same object.
+    Concrete families implement ``fit``, ``log_likelihood`` and the marginal
+    ``mahalanobis``; ``avg_log_likelihood`` and ``modified_mahalanobis``
+    derive from them. These five are all the search and the detector read.
+    Instances are single-writer: do not fit and score concurrently on one object.
     """
 
     # Forward and backward sums of the last fitted window, where kept.
@@ -410,10 +409,6 @@ class ObservationModel:
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
         raise NotImplementedError
 
-    def _posterior(self, q: np.ndarray, train: TimeSeriesWindow | None) -> PosteriorSummary:
-        """``posterior`` at the query inputs ``q``, already of shape ``(n_q, D)``."""
-        raise NotImplementedError
-
     def mahalanobis(self, window: TimeSeriesWindow) -> float:
         """Distance of the outputs from the fitted means.
 
@@ -432,11 +427,6 @@ class ObservationModel:
     def modified_mahalanobis(self, window: TimeSeriesWindow) -> float:
         """Length-corrected distance ``d^(2 / n)``; 0 stays 0."""
         return _length_corrected(self.mahalanobis(window), len(window))
-
-    def posterior(self, query_inputs, train: TimeSeriesWindow | None = None) -> PosteriorSummary:
-        """Predictive distribution at ``query_inputs`` (a 1-D array is D = 1)."""
-        q = np.asarray(query_inputs, dtype=float)
-        return self._posterior(q[:, None] if q.ndim == 1 else q, train)
 
 
 class IidGaussianModel(ObservationModel):
@@ -472,13 +462,6 @@ class IidGaussianModel(ObservationModel):
         r = window.outputs - self.params.mean
         var = self.params.noise_std**2
         return float(-0.5 * (np.add.reduce(r * r, None) / var + r.size * (math.log(var) + LOG_2PI)))
-
-    def _posterior(self, q: np.ndarray, train: TimeSeriesWindow | None) -> PosteriorSummary:
-        # Conditioning is a no-op for independent observations.
-        n = len(q)
-        mean = np.repeat(self.params.mean, n)
-        cov = self.params.noise_std**2 * np.eye(n * self.channel_count)
-        return PosteriorSummary(mean=mean, cov=cov)
 
     def mahalanobis(self, window: TimeSeriesWindow) -> float:
         # Diagonal covariance: the distance is the norm of the scaled residuals.
@@ -631,18 +614,18 @@ class GaussianProcessModel(ObservationModel):
 
     # -- prediction ----------------------------------------------------------
 
-    def _posterior(self, q: np.ndarray, train: TimeSeriesWindow | None) -> PosteriorSummary:
-        p = self.params
-        if train is None:
-            means, cov = np.broadcast_to(p.mean, (len(q), self.channel_count)), noisy_gram(q, p)
-        else:
-            self._check_window(train)
-            k_tq = gram(train.inputs, q, p)
-            chol_lower = chol_with_jitter(noisy_gram(train.inputs, p))
-            solved = _linalg().cho_solve((chol_lower, True), k_tq)
-            cov = gram(q, q, p) - k_tq.T @ solved + p.noise_std**2 * np.eye(len(q))
-            cov = 0.5 * (cov + cov.T)
-            means = p.mean + solved.T @ (train.outputs - p.mean)
+    def posterior(self, query_inputs, train: TimeSeriesWindow) -> PosteriorSummary:
+        """Predictive distribution of the noisy outputs at ``query_inputs`` (a 1-D
+        array is D = 1) given ``train``'s outputs, under the fitted parameters."""
+        self._check_window(train)
+        q = np.asarray(query_inputs, dtype=float)
+        q, p = q[:, None] if q.ndim == 1 else q, self.params
+        k_tq = gram(train.inputs, q, p)
+        chol_lower = chol_with_jitter(noisy_gram(train.inputs, p))
+        solved = _linalg().cho_solve((chol_lower, True), k_tq)
+        cov = gram(q, q, p) - k_tq.T @ solved + p.noise_std**2 * np.eye(len(q))
+        cov = 0.5 * (cov + cov.T)
+        means = p.mean + solved.T @ (train.outputs - p.mean)
         if self.channel_count > 1:
             cov = _linalg().block_diag(*[cov] * self.channel_count)
         return PosteriorSummary(mean=means.T.reshape(-1), cov=cov)

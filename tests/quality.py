@@ -29,15 +29,13 @@ of ``--against`` run at once.
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from record_digest import ORIGIN, seed_list  # also puts perfbench on sys.path
+from record_digest import ORIGIN, beside_child, seed_list  # also puts perfbench on sys.path
 from test_acceptance import _tuned_rates
 from workloads import WORKLOADS, _tiled_mean_regimes, streams
 
@@ -60,7 +58,7 @@ def stream_quality(label: str, window, truth: list[int], config: DetectorConfig)
     last = max(declared, default=window.start_index)
     evals = [r["evals"] for r in records if r["searched"]]
     return {"stream": label, "tpr": tpr, "ppv": ppv,
-            "delays": [declared[d] - c for c, d, _ in report.pairs],
+            "delays": [declared[d] - c for c, d in report.pairs],
             "last_detection": last, "stalled": bool(truth) and truth[-1] - last > STALL_GAP,
             "evals": sum(evals), "searches": len(evals)}
 
@@ -125,15 +123,9 @@ def print_side(side: str, result: dict) -> None:
 
 def run_against(args, other_src: Path) -> dict:
     """This side's report and the child's on ``other_src``, computed side by side."""
-    argv = [sys.executable, __file__, "--json", "--seeds", ",".join(map(str, args.seeds)),
+    argv = [__file__, "--json", "--seeds", ",".join(map(str, args.seeds)),
             "--long-seeds", ",".join(map(str, args.long_seeds))]
-    child = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": str(other_src)},
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    ours = quality_report(args)
-    theirs, errors = child.communicate()
-    origins = [line[len(ORIGIN):] for line in errors.splitlines() if line.startswith(ORIGIN)]
-    if child.returncode != 0 or origins != [str(other_src / "gocpd")]:
-        sys.exit(f"the run on {other_src} failed or did not import its gocpd:\n{errors}")
+    ours, theirs = beside_child(argv, other_src, lambda: quality_report(args))
     return {"this": ours, "other": json.loads(theirs)}
 
 

@@ -32,7 +32,7 @@ import subprocess
 import sys
 from itertools import zip_longest
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -94,19 +94,29 @@ def digest_lines(args) -> Iterator[str]:
 ORIGIN = "gocpd imported from "
 
 
-def compare_against(args, other_src: Path) -> int:
-    """Run this report on ``other_src`` in a child process beside this one's;
-    print the differing lines and return 1 if there are any."""
-    argv = [sys.executable, __file__, "--workloads", args.workloads,
-            "--seeds", ",".join(map(str, args.seeds)),
-            "--script-seeds", ",".join(map(str, args.script_seeds))]
-    child = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": str(other_src)},
+def beside_child(argv: list[str], other_src: Path, ours: Callable) -> tuple:
+    """Run ``python argv`` with ``other_src`` alone on ``PYTHONPATH`` while
+    ``ours()`` runs here; return what ``ours`` returned and the child's stdout.
+    Exit unless the child succeeded and named ``other_src``'s ``gocpd`` as the
+    one it imported, on an ``ORIGIN`` line of its stderr."""
+    child = subprocess.Popen([sys.executable, *argv],
+                             env={**os.environ, "PYTHONPATH": str(other_src)},
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    ours = list(digest_lines(args))
+    here = ours()
     theirs, errors = child.communicate()
     origins = [line[len(ORIGIN):] for line in errors.splitlines() if line.startswith(ORIGIN)]
     if child.returncode != 0 or origins != [str(other_src / "gocpd")]:
         sys.exit(f"the run on {other_src} failed or did not import its gocpd:\n{errors}")
+    return here, theirs
+
+
+def compare_against(args, other_src: Path) -> int:
+    """Run this report on ``other_src`` in a child process beside this one's;
+    print the differing lines and return 1 if there are any."""
+    argv = [__file__, "--workloads", args.workloads,
+            "--seeds", ",".join(map(str, args.seeds)),
+            "--script-seeds", ",".join(map(str, args.script_seeds))]
+    ours, theirs = beside_child(argv, other_src, lambda: list(digest_lines(args)))
     pairs = list(zip_longest(theirs.splitlines(), ours, fillvalue="(no line)"))
     differing = [(there, here) for there, here in pairs if there != here]
     for there, here in differing:

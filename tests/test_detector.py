@@ -512,6 +512,12 @@ def test_criterion_rejects_a_candidate_that_empties_a_segment(family):
         det.criterion(candidate)
 
 
+def test_criterion_before_the_first_step_is_an_index_error():
+    det = Detector(step_config())
+    with pytest.raises(IndexError, match="candidate 5 before the first step"):
+        det.criterion(5)
+
+
 # -- thresholds and persistence -----------------------------------------------------
 
 def test_infinite_thresholds_never_detect():

@@ -16,7 +16,7 @@ from gocpd.metrics import (MatchReport, aggregate_instrumentation,
 def test_match_within_tolerance():
     r = match_detections([50], [51], tolerance=5)
     assert (r.true_positives, r.false_positives, r.false_negatives) == (1, 0, 0)
-    assert r.pairs == [(50, 51, 1)]
+    assert r.pairs == [(50, 51)]
 
 
 def test_missed_change_is_false_negative():
@@ -27,12 +27,12 @@ def test_missed_change_is_false_negative():
 def test_hand_enumerated_matching():
     r = match_detections([50, 100], [52, 53, 150], tolerance=5)
     assert (r.true_positives, r.false_positives, r.false_negatives) == (1, 2, 1)
-    assert r.pairs == [(50, 52, 2)]
+    assert r.pairs == [(50, 52)]
 
 
 def test_tie_breaks_toward_earlier_true_change():
     r = match_detections([50, 60], [55], tolerance=5)
-    assert r.pairs == [(50, 55, 5)]
+    assert r.pairs == [(50, 55)]
 
 
 def test_each_side_matched_at_most_once():
@@ -45,7 +45,7 @@ def test_matching_shift_invariant():
     a = match_detections([50, 100], [52, 97], tolerance=5)
     b = match_detections([1050, 1100], [1052, 1097], tolerance=5)
     assert a.true_positives == b.true_positives
-    assert [(c + 1000, d + 1000, delay) for c, d, delay in a.pairs] == b.pairs
+    assert [(c + 1000, d + 1000) for c, d in a.pairs] == b.pairs
 
 
 def test_rates_basic():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import block_diag, cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
 from conftest import params_equal
@@ -276,13 +276,6 @@ def test_learned_fit_factors_the_gram_once_per_objective(monkeypatch):
 
 # -- posterior ----------------------------------------------------------------
 
-def test_iid_posterior_is_fitted_distribution():
-    m = iid(mean=1.0, noise=0.1)
-    post = m.posterior(np.arange(4.0)[:, None])
-    assert np.allclose(post.mean, 1.0)
-    assert np.allclose(post.cov, 0.01 * np.eye(4))
-
-
 def test_gp_posterior_interpolates_as_noise_vanishes():
     rng = np.random.default_rng(6)
     x = np.arange(5.0)
@@ -314,9 +307,10 @@ def test_gp_posterior_matches_textbook_conditional():
 
 def test_dirac_kernel_covariance_is_indicator():
     m = gp(kernel=Kernel.DIRAC_DELTA, noise=0.5, lengthscale=9.9, output_scale=7.7)
-    post = m.posterior(np.array([[0.0], [1.0]]))
-    # off-diagonal zero, diagonal 1 + noise^2; lengthscale/output_scale ignored
-    assert np.allclose(post.cov, np.eye(2) * (1 + 0.25))
+    cov = noisy_gram(np.array([[0.0], [1.0], [1.0]]), m.params)
+    # 1 where the inputs are equal, plus noise^2 on the diagonal;
+    # lengthscale/output_scale ignored
+    assert np.array_equal(cov, [[1.25, 0.0, 0.0], [0.0, 1.25, 1.0], [0.0, 1.0, 1.25]])
 
 
 def test_dirac_kernel_fit_learns_mean_and_noise():
@@ -367,9 +361,9 @@ def test_mahalanobis_nonnegative_and_zero_iff_zero_residual():
 
 
 def test_multichannel_mahalanobis_matches_block_diagonal_oracle():
-    # The marginal distance against the block-diagonal covariance of
-    # posterior(q), for a learned model (dense factor) and a fixed one
-    # (grid factor).
+    # The marginal distance against the block-diagonal covariance of one
+    # noisy Gram per channel, for a learned model (dense factor) and a fixed
+    # one (grid factor).
     rng = np.random.default_rng(15)
     x = np.arange(10.0)
     y = rng.normal(size=(10, 3))
@@ -378,9 +372,9 @@ def test_multichannel_mahalanobis_matches_block_diagonal_oracle():
     query = TimeSeriesWindow(x[6:], y[6:], start_index=6)
     for m in (GaussianProcessModel(params),
               GaussianProcessModel(params, fix_kernel=True, fix_noise=True)):
-        post = m.posterior(query.inputs)  # block_diag covariance
-        resid = query.outputs.T.reshape(-1) - post.mean
-        z = solve_triangular(chol_with_jitter(post.cov), resid, lower=True)
+        cov = block_diag(*[noisy_gram(query.inputs, m.params)] * 3)
+        resid = (query.outputs - m.params.mean).T.reshape(-1)
+        z = solve_triangular(chol_with_jitter(cov), resid, lower=True)
         assert m.mahalanobis(query) == pytest.approx(math.sqrt(z @ z), rel=1e-10)
     assert m.gram_factor.size == len(query)
 

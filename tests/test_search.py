@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import params_equal
+from conftest import fixed_iid, params_equal
 
 import gocpd.detector as detector_module
 from gocpd.datagen import step_example
@@ -11,11 +11,6 @@ from gocpd.metrics import evaluation_count_bound
 from gocpd.models import GaussianProcessModel, IidGaussianModel, Kernel, ModelParams
 from gocpd.search import SplitScorer, effective_interval, ternary_argmax
 from gocpd.window import TimeSeriesWindow
-
-
-def fixed_iid(noise=0.001, min_fit=3):
-    params = ModelParams(mean=[0.0], noise_std=noise)
-    return IidGaussianModel(params, min_fit_points=min_fit, fix_noise=True)
 
 
 def step_window(n_left=50, n_right=51, delta=1.0, noise=0.1, seed=0):
