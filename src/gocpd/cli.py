@@ -206,7 +206,7 @@ def cmd_bench(args) -> int:
     config = DetectorConfig.from_dict(read_json(args.config))
     series = read_series_csv(args.data)
     read_s = time.perf_counter() - started
-    Detector(config)  # a GP model imports scipy when first built; keep that out of wall_s
+    Detector(config)  # a learned GP imports scipy when first built; keep that out of wall_s
     runs = []
     for _ in range(args.reps):
         started = time.perf_counter()

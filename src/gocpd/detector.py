@@ -166,16 +166,18 @@ class Detector:
         Returns the DetectionEvent if this batch's iteration declared a
         change, else None. Every call appends exactly one iteration record.
         Numerical failures inside the search or the criterion degrade to a
-        logged no-op; the stream stays alive. A batch holding NaN or inf,
-        a first batch with the wrong channel count, or a later batch that
-        does not continue the window (``NonContiguousBatch``) or whose input
-        or channel count differs from it (``ValueError``, both from
-        ``TimeSeriesWindow.extend``) raises and leaves the detector as it was.
+        logged no-op; the stream stays alive. A batch holding NaN or inf
+        (``NonFiniteObservation``, checked here for the first batch and by
+        ``TimeSeriesWindow.extend`` for later ones, before anything else), a
+        first batch with the wrong channel count, or a later batch that does
+        not continue the window (``NonContiguousBatch``) or whose input or
+        channel count differs from it (``ValueError``, both from ``extend``)
+        raises and leaves the detector as it was.
         """
         started = time.perf_counter()
         cfg = self.config
-        require_finite(batch)
         if self.window is None:
+            require_finite(batch)
             if batch.channel_count != cfg.model.channels:
                 raise ValueError(f"batch has {batch.channel_count} channels, "
                                  f"config.model has {cfg.model.channels}")

@@ -6,7 +6,7 @@ the line, of what it cannot read. Series CSV schema: header
 well-formed series CSV is parsed by one ``np.loadtxt`` call; text that call
 does not accept is parsed again row by row, which names the faulty row.
 Only numpy is needed here: nothing in this module loads scipy, which only
-GP models use. JSONL files are written with sorted keys and compact
+dense GP factors use. JSONL files are written with sorted keys and compact
 separators so identical runs produce byte-identical artifacts.
 """
 

@@ -32,22 +32,23 @@ The GP family has one kernel (``gram``, ``noisy_gram``), one whitening
 window with it, ``GaussianProcessModel._whiten``: every GP fit, likelihood
 and distance goes through it, so a faster whitening replaces it there.
 Each Gaussian log-density, optimal mean and Mahalanobis distance sums the
-innovations ``L^{-1} v`` of one triangular solve against the lower Cholesky
-factor ``L`` of the noisy Gram (Rasmussen & Williams, *GPML*, Algorithm
-2.1). As ``L^{-1}`` is lower triangular, the first ``m`` innovations use
-only the first ``m`` entries of ``v`` and the leading block of ``L``, the
-factor of the first ``m`` points, so the prefix sums of one window's
-innovations score each of its prefixes exactly: a split's left segment, the
+innovations ``L^{-1} v`` against the lower Cholesky factor ``L`` of the
+noisy Gram (Rasmussen & Williams, *GPML*, Algorithm 2.1). As ``L^{-1}`` is
+lower triangular, the first ``m`` innovations use only the first ``m``
+entries of ``v`` and the leading block of ``L^{-1}``, the inverse factor of
+the first ``m`` points, so the prefix sums of one window's innovations
+score each of its prefixes exactly: a split's left segment, the
 criterion's left segment, the window.
 
-A GP model whose hyperparameters are all fixed owns a ``UniformGramFactor``,
-the lower Cholesky factor of the noisy Gram on the grid ``0, dx, 2dx, ...``:
-one read-only contiguous array of exactly the longest segment's size, 8 n^2
-bytes per model (two arrays only while a growth is in progress). A
-stationary kernel depends only on input differences, so on a segment whose
-inputs are ``x[0] + k * dx`` the noisy Gram and its factor are leading
-blocks of the grid's, exactly. Learned hyperparameters, non-uniform
-inputs, and a grid factor whose growth fails without jitter all factor
+A GP model whose hyperparameters are all fixed owns a ``UniformGramFactor``:
+the inverse ``W = L^{-1}`` of the lower Cholesky factor of the noisy Gram
+on the grid ``0, dx, 2dx, ...``, one read-only contiguous array of exactly
+the longest segment's size, 8 n^2 bytes per model (two arrays only while a
+growth is in progress). A stationary kernel depends only on input
+differences, so on a segment whose inputs are ``x[0] + k * dx`` the noisy
+Gram and ``W`` are leading blocks of the grid's, exactly, and the whitening
+is one product ``W[:n, :n] @ v`` in numpy. Learned hyperparameters,
+non-uniform inputs, and growth its conditioning bound refuses all factor
 afresh with ``chol_with_jitter``, which stays the reference.
 
 On the grid ``fit`` also keeps backward sums. The grid's noisy Gram ``K``
@@ -56,21 +57,20 @@ reversal (Golub & Van Loan, section 4.7). So the last ``r`` points read
 backwards have the same Gram ``K_r`` and the same ``log det``, and their
 innovations are the first ``r`` innovations of the reversed window under
 the same leading factor. ``fit`` whitens ``[1, y - y[0], rev(y) - y[-1]]``
-in one solve and keeps the forward sums as ``prefix`` and the backward
+in one product and keeps the forward sums as ``prefix`` and the backward
 ones as ``suffix``, each with the score of every segment it covers in a
 table (``PrefixSums.scores``), as in Truong, Oudre & Vayatis (2020). The
 two tables are the rows of one float64 array, built with no Python object
 per entry; a search reads only the few entries it probes.
 
-The triangular solves of the whitening, of the grid factor's growth and
-of the learned fit's gradient skip scipy's finite check
-(``check_finite=False``): each solves against a factor that ``cholesky``
-checked, or the grid factor grown from it, and the grid's Gram is built
-here from finite hyperparameters. ``cholesky`` itself and ``posterior``,
-whose training window comes from the caller, keep the check.
-
-Only the GP family needs scipy: ``scipy.linalg`` is imported when the
-first GP model is built, so a process with IID models alone never loads it.
+Observations are checked for NaN and inf once, as they arrive
+(``Detector.step`` checks the first batch, ``TimeSeriesWindow.extend`` the
+rest), so the dense path's triangular solves, against a factor ``cholesky``
+checked, skip scipy's finite check (``check_finite=False``); ``cholesky``
+and ``posterior``, whose training window comes from the caller, keep it.
+Only dense factors need scipy: a learned GP model imports ``scipy.linalg``
+when built, a fixed one at its first dense factor (off the grid or past
+its ``limit``).
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -152,11 +153,10 @@ _scipy_linalg = None
 
 
 def _linalg():
-    """``scipy.linalg``, imported on the first call.
-
-    Only GP models factor matrices, so a process that builds IID models
-    alone never loads scipy. GP models and grid factors call this when
-    they are built, which keeps the import inside set-up.
+    """``scipy.linalg``, imported on the first call: by a learned GP model when
+    it is built, keeping the import inside set-up, and by a fixed one at its
+    first dense factor. It is not asked to find NaN, which the detector
+    rejects as observations arrive.
     """
     global _scipy_linalg
     if _scipy_linalg is None:
@@ -214,29 +214,35 @@ def noisy_gram(x: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 class UniformGramFactor:
-    """Lower Cholesky factor of the noisy Gram on ``0, dx, 2dx, ...``.
+    """``W = L^{-1}`` and ``2 log L_kk`` of the noisy Gram's factor on ``0, dx, 2dx, ...``.
 
     Each GP model whose hyperparameters are all fixed owns one. It is bound
     to the first hyperparameters and spacing ``dx`` it is asked for; other
     requests get ``None``. A segment is on the grid when each ``x[k] - x[0]``
     is ``k * dx`` within 1e-12 relative plus the rounding of ``x`` itself,
     so inputs such as ``0.1 * t`` qualify at any offset. Each new size
-    regrows the factor once by a bordered block update that computes only
-    the new Gram columns; ``leading`` returns the factor itself for a
-    segment of its size and copies the leading block for a shorter one. A
-    growth that fails without jitter is not retried at that size or above,
-    and those segments take the dense path.
+    regrows ``W`` once by a bordered update, ``A = W K_12``, ``L_22 =
+    chol(K_22 - A^T A)``, ``W_21 = -L_22^{-1} A^T W``; ``leading`` returns
+    read-only views. An explicit inverse loses accuracy like ``cond(L) eps``,
+    so growth is refused where the Gershgorin bound ``cond(K) <= r / max(
+    noise_std^2, 2 K_kk - r)``, with ``r`` twice the Gram row's sum less
+    ``K_kk``, exceeds ``COND_MAX`` (at 1e4 the fits agreed with the dense
+    path to 2e-10 relative). It is not retried at that size or above, and
+    those segments take the dense path.
     """
+
+    COND_MAX = 1e4
 
     def __init__(self):
         self.key: tuple | None = None
         self.dx: np.ndarray | None = None
         self.size = 0
         self.limit: int | None = None
-        self._lower = np.zeros((0, 0))
+        self._inv = np.zeros((0, 0))
+        self._logdiag = np.zeros(0)
 
-    def leading(self, x: np.ndarray, params: ModelParams) -> np.ndarray | None:
-        """Lower factor of the noisy Gram on ``x``, or None when it does not apply."""
+    def leading(self, x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray] | None:
+        """``W`` and ``2 log L_kk`` of the noisy Gram on ``x``, or None off the grid."""
         n = len(x)
         if n < 2:
             return None
@@ -251,7 +257,7 @@ class UniformGramFactor:
         self.key, self.dx = key, dx
         if n > self.size and not self._grow(n, params):
             return None
-        return self._lower if n == self.size else self._lower[:n, :n].copy()
+        return self._inv[:n, :n], self._logdiag[:n]
 
     def _grow(self, n: int, params: ModelParams) -> bool:
         if self.limit is not None and n >= self.limit:
@@ -260,18 +266,20 @@ class UniformGramFactor:
         grid = np.arange(n)[:, None] * self.dx
         k_new = gram(grid, grid[m:], params)
         k_new[m:] += params.noise_std**2 * np.eye(n - m)
-        l21 = _linalg().solve_triangular(self._lower, k_new[:m], lower=True,
-                                         check_finite=False).T
-        try:
-            l22 = cholesky(k_new[m:] - l21 @ l21.T)
-        except np.linalg.LinAlgError:
+        col = k_new[:, -1]  # the Toeplitz Gram's first row, reversed
+        row_sum = 2.0 * col.sum() - col[-1]
+        if row_sum > self.COND_MAX * max(params.noise_std**2, 2.0 * col[-1] - row_sum):
             self.limit = n
             return False
-        lower = np.zeros((n, n))
-        lower[:m, :m] = self._lower
-        lower[m:, :m], lower[m:, m:] = l21, l22
-        lower.flags.writeable = False
-        self._lower, self.size = lower, n
+        a = self._inv @ k_new[:m]
+        l22 = np.linalg.cholesky(k_new[m:] - a.T @ a)
+        w22 = np.linalg.inv(l22)
+        inv = np.empty((n, n))
+        inv[:m, :m], inv[:m, m:] = self._inv, 0.0
+        inv[m:, :m], inv[m:, m:] = -w22 @ (a.T @ self._inv), w22
+        logdiag = np.concatenate([self._logdiag, 2.0 * np.log(np.diag(l22))])
+        inv.flags.writeable = logdiag.flags.writeable = False
+        self._inv, self._logdiag, self.size = inv, logdiag, n
         return True
 
 
@@ -308,19 +316,19 @@ class PrefixSums:
     scores: np.ndarray | None = None
 
     @classmethod
-    def whiten(cls, window: TimeSeriesWindow, chol_lower: np.ndarray,
+    def whiten(cls, window: TimeSeriesWindow, solve, logdiag: np.ndarray,
                backward: bool = True) -> tuple["PrefixSums", "PrefixSums | None"]:
-        """The forward and backward sums of ``window``, from one triangular
-        solve of ``[1, y - y[0], rev(y) - y[-1]]`` against its factor.
+        """The forward and backward sums of ``window``, from one whitening
+        ``solve(B) = L^{-1} B`` of ``B = [1, y - y[0], rev(y) - y[-1]]``, with
+        ``logdiag`` the ``2 log L_kk`` of its factor ``L``.
 
         The backward sums need a persymmetric Gram; for any other factor
-        pass ``backward=False`` to solve ``[1, y - y[0]]`` and get ``None``.
+        pass ``backward=False`` to whiten ``[1, y - y[0]]`` and get ``None``.
         """
         y = window.outputs
         cols = [np.ones((len(y), 1)), y - y[0]] + ([y[::-1] - y[-1]] if backward else [])
-        z = _linalg().solve_triangular(chol_lower, np.hstack(cols), lower=True,
-                                       check_finite=False)
-        terms = np.hstack([z[:, :1]**2, 2.0 * np.log(np.diag(chol_lower))[:, None],
+        z = solve(np.hstack(cols))
+        terms = np.hstack([z[:, :1]**2, logdiag[:, None],
                            z[:, :1] * z[:, 1:], z[:, 1:]**2])
         sums = np.vstack([np.zeros(terms.shape[1]), np.cumsum(terms, axis=0)])
         s11, logdet, c, k = sums[:, 0], sums[:, 1], y.shape[1], z.shape[1] - 1
@@ -496,7 +504,6 @@ class GaussianProcessModel(ObservationModel):
                  fix_output_scale: bool = False, max_fit_iters: int = 50):
         if prior_params.kernel is None:
             raise ValueError("GaussianProcessModel requires a kernel kind")
-        _linalg()
         super().__init__(prior_params, min_fit_points=min_fit_points)
         learn_kernel = not fix_kernel and prior_params.kernel == Kernel.RBF
         self.fitted = tuple(name for name, on in (
@@ -504,22 +511,26 @@ class GaussianProcessModel(ObservationModel):
             ("output_scale", learn_kernel and not fix_output_scale),
             ("noise_std", not fix_noise)) if on)
         self.max_fit_iters = int(max_fit_iters)
+        if self.fitted:
+            _linalg()  # a learned model factors densely from its first fit on
         self.gram_factor = None if self.fitted else UniformGramFactor()
 
     # -- factor and sums -----------------------------------------------------
 
-    def _whiten(self, window: TimeSeriesWindow, params: ModelParams,
-                backward: bool = False) -> tuple[PrefixSums, PrefixSums | None, np.ndarray]:
+    def _whiten(self, window: TimeSeriesWindow, params: ModelParams, backward: bool = False
+                ) -> tuple[PrefixSums, PrefixSums | None, np.ndarray | None]:
         """Forward sums of ``window`` under ``params``, backward sums (on the
-        grid, when ``backward`` asks; else None) and the lower factor used:
-        the grid factor's block where it applies, else ``chol_with_jitter``'s."""
+        grid, when ``backward`` asks; else None) and the dense lower factor
+        solved against (None where the grid factor's inverse applies)."""
         x = window.inputs
-        lower = None if self.gram_factor is None else self.gram_factor.leading(x, params)
-        on_grid = lower is not None
-        if not on_grid:
-            lower = chol_with_jitter(noisy_gram(x, params))
-        forward, back = PrefixSums.whiten(window, lower, backward=backward and on_grid)
-        return forward, back, lower
+        grid = None if self.gram_factor is None else self.gram_factor.leading(x, params)
+        if grid is not None:
+            inverse, logdiag = grid
+            return *PrefixSums.whiten(window, inverse.__matmul__, logdiag, backward), None
+        lower = chol_with_jitter(noisy_gram(x, params))
+        solve = partial(_linalg().solve_triangular, lower, lower=True, check_finite=False)
+        forward, _ = PrefixSums.whiten(window, solve, 2.0 * np.log(np.diag(lower)), False)
+        return forward, None, lower
 
     def _sums(self, window: TimeSeriesWindow) -> PrefixSums:
         """Forward sums of ``window`` under the fitted kernel and noise."""

@@ -81,8 +81,10 @@ class TimeSeriesWindow:
         return TimeSeriesWindow._unchecked(self.inputs[i:j], self.outputs[i:j], int(a))
 
     def extend(self, other: "TimeSeriesWindow") -> "TimeSeriesWindow":
-        """Concatenate a continuation; raise NonContiguousBatch unless it is
-        contiguous, and ValueError unless its D and C are this window's."""
+        """Concatenate a continuation. Raise NonFiniteObservation if it holds a
+        NaN or inf (checked first), NonContiguousBatch unless it is contiguous,
+        and ValueError unless its D and C are this window's."""
+        require_finite(other)
         if other.start_index != self.end_index + 1:
             raise NonContiguousBatch(
                 f"windows not contiguous: this ends at {self.end_index}, "

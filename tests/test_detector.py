@@ -430,6 +430,25 @@ def test_non_finite_input_named_by_first_bad_timestamp():
     assert det.window is None
 
 
+def test_non_finite_batch_that_skips_ahead_raises_non_finite():
+    # extend checks for NaN before contiguity: a later batch that both holds
+    # a NaN and leaves a gap is named for the NaN, and changes no state.
+    clean = run_series(step_example(), step_config())
+    det = Detector(step_config())
+    for batch in stream_batches(step_example().slice(0, 68), 1):
+        det.step(batch)
+    window, records, k = det.window, list(det.instrumentation), det.k
+    assert k == 3
+    y = step_example().outputs[70:73, 0].copy()
+    y[1] = np.nan
+    with pytest.raises(NonFiniteObservation, match="t=71"):
+        det.step(TimeSeriesWindow(np.arange(70.0, 73.0), y, start_index=70))
+    assert det.window is window and det.instrumentation == records and det.k == k
+    for batch in stream_batches(step_example().slice(69, 100), 1):
+        det.step(batch)
+    assert [e.to_dict() for e in det.events] == [e.to_dict() for e in clean.events]
+
+
 def test_wrong_channel_count_raises_before_any_state():
     det = Detector(step_config())
     two = TimeSeriesWindow(np.arange(40.0), np.zeros((40, 2)))

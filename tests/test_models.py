@@ -517,47 +517,79 @@ def test_grid_factor_serves_only_its_own_hyperparameters():
     model = fixed_gp()
     model.fit(segment)
     factor = model.gram_factor
-    lower, size = factor._lower, factor.size
+    inverse, size = factor._inv, factor.size
     model.params = replace(model.params, lengthscale=0.7)
     assert factor.leading(segment.inputs, model.params) is None
     fresh = fixed_gp(lengthscale=0.7, dense=True)
     assert_models_agree(model, fresh, segment, rel=0)
     assert model.prefix is None and model.suffix is None
-    assert factor._lower is lower and factor.size == size == 30
+    assert factor._inv is inverse and factor.size == size == 30
 
 
 def test_grid_factor_growth_failure_falls_back_to_jitter():
     # A long lengthscale and tiny noise make the Gram singular to working
     # precision: the plain factorization fails and the dense path must add
-    # jitter.
+    # jitter. The grid factor's conditioning bound refuses even six points,
+    # whose inverse would lose the 1e-9 agreement.
     settings = dict(noise=1e-8, lengthscale=20.0, output_scale=1.0)
     segment = grid_window(40, 1, seed=24)
     fast, dense = fixed_gp(**settings), fixed_gp(dense=True, **settings)
     factor = fast.gram_factor
-    assert_models_agree(fast, dense, segment.slice(0, 5), rel=1e-9)  # six points factor
-    lower, size = factor._lower, factor.size
+    assert_models_agree(fast, dense, segment.slice(0, 5), rel=0)
+    assert factor.limit == 6 and factor.size == 0
+    assert fast.prefix is None and fast.suffix is None  # no whitening either
     with pytest.raises(np.linalg.LinAlgError):
         cholesky(noisy_gram(segment.inputs, fast.params), lower=True)
     assert_models_agree(fast, dense, segment, rel=0)
-    assert factor.limit is not None and factor.size < len(segment)
+    assert factor.limit == 6 and factor.size == 0
+    assert fast.prefix is None and fast.suffix is None
+
+
+def test_grid_factor_refused_growth_is_not_retried():
+    # At noise 0.05 and lengthscale 20 six points pass the conditioning
+    # bound and forty do not: the refused growth leaves the factor as it
+    # was, and the long segment takes the dense path.
+    settings = dict(noise=0.05, lengthscale=20.0, output_scale=1.0)
+    segment = grid_window(40, 1, seed=24)
+    fast, dense = fixed_gp(**settings), fixed_gp(dense=True, **settings)
+    factor = fast.gram_factor
+    assert_models_agree(fast, dense, segment.slice(0, 5), rel=1e-9)  # six points grow
+    inverse, size = factor._inv, factor.size
+    assert_models_agree(fast, dense, segment, rel=0)
+    assert factor.limit == 40 and factor.size < len(segment)
     assert fast.prefix is None and fast.suffix is None  # no whitening either
-    # The failed growth leaves the factor as it was.
-    assert factor._lower is lower and factor.size == size == 6
-    # Beyond the failed size the factor is never grown again.
-    limit = factor.limit
+    assert factor._inv is inverse and factor.size == size == 6
+    # Beyond the refused size the factor is never grown again.
     later = grid_window(45, 1, seed=25)
     assert_models_agree(fast, dense, later, rel=0)
-    assert factor.limit == limit
+    assert factor.limit == 40 and factor._inv is inverse
     # A later segment no longer than the factor still takes the grid path.
     for short in (later.slice(30, 35), later.slice(40, 42)):
         assert_models_agree(fast, dense, short, rel=1e-9)
         assert fast.prefix is not None and fast.suffix is not None
 
 
+@pytest.mark.parametrize("noise", [1e-1, 1e-3, 1e-5, 1e-8])
+def test_grid_factor_agrees_with_dense_or_refuses_at_long_lengthscale(noise):
+    # Growth by 1 and by 7 over a long lengthscale: each fit agrees with the
+    # dense path at 1e-9 on the grid, or the factor refused to grow.
+    settings = dict(noise=noise, lengthscale=20.0, output_scale=1.0)
+    fast, dense = fixed_gp(**settings), fixed_gp(dense=True, **settings)
+    factor, full = fast.gram_factor, grid_window(150, 1, seed=28)
+    for end in list(range(5, 60)) + list(range(60, 150, 7)):
+        segment = full.slice(0, end)
+        assert_models_agree(fast, dense, segment, rel=0 if factor.limit else 1e-9)
+        assert (factor.limit is None) == (factor.size == end + 1)
+    assert (factor.limit is None) == (noise == 1e-1)
+
+
 def assert_factor_close(got, x, params):
-    want = chol_with_jitter(noisy_gram(x, params))
-    assert got.shape == want.shape
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    inverse, logdiag = got
+    lower = chol_with_jitter(noisy_gram(x, params))
+    want = solve_triangular(lower, np.eye(len(x)), lower=True)
+    assert inverse.shape == want.shape and not inverse.flags.writeable
+    assert np.linalg.norm(inverse - want) <= 1e-12 * np.linalg.norm(want)
+    np.testing.assert_allclose(logdiag, 2.0 * np.log(np.diag(lower)), rtol=1e-12, atol=0)
 
 
 def test_grid_factor_is_exact_size_and_read_only():
@@ -569,26 +601,28 @@ def test_grid_factor_is_exact_size_and_read_only():
         det.step(batch)
     factor = det.m0.gram_factor
     assert det.events == [] and factor.size == 600
-    assert factor._lower.shape == (600, 600) and factor._lower.nbytes == 8 * 600**2
-    assert factor._lower.flags.c_contiguous and not factor._lower.flags.writeable
+    assert factor._inv.shape == (600, 600) and factor._inv.nbytes == 8 * 600**2
+    assert factor._inv.flags.c_contiguous and not factor._inv.flags.writeable
+    assert factor._logdiag.shape == (600,) and not factor._logdiag.flags.writeable
 
 
-def test_grid_factor_leading_grows_and_copies_exactly():
+def test_grid_factor_leading_grows_and_views_exactly():
     fast = fixed_gp()
     factor, params = fast.gram_factor, fast.params
     x = 0.5 * np.arange(200.0)[:, None] + 3.0
     assert_factor_close(factor.leading(x[:120], params), x[:120], params)
     grown = factor.leading(x[:121], params)  # growth by one point
-    assert factor.size == 121 and grown is factor._lower
+    assert factor.size == 121 and grown[0].base is factor._inv
     assert_factor_close(grown, x[:121], params)
     grown = factor.leading(x[:128], params)  # growth by a batch of 7
-    assert factor.size == 128 and grown is factor._lower
+    assert factor.size == 128 and grown[0].base is factor._inv
     assert_factor_close(grown, x[:128], params)
     # A shorter segment at a later offset, as after a detection reset, gets
-    # a copy of the leading block; the factor is left as it was.
+    # a read-only view of the leading block; the factor is left as it was.
+    inverse = factor._inv
     short = factor.leading(x[150:190], params)
-    assert factor.size == 128 and short is not factor._lower
-    assert not np.shares_memory(short, factor._lower) and short.flags.c_contiguous
+    assert factor.size == 128 and factor._inv is inverse
+    assert short[0].base is inverse and short[1].base is factor._logdiag
     assert_factor_close(short, x[150:190], params)
 
 
@@ -596,17 +630,38 @@ def test_grid_factor_block_cannot_be_written():
     segment = grid_window(80, 2, seed=27)
     fast = fixed_gp(channels=2)
     fast.fit(segment)
-    lower = fast.gram_factor.leading(segment.inputs, fast.params)
-    assert lower is fast.gram_factor._lower
-    with pytest.raises(ValueError):
-        lower[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        lower *= 2.0
+    inverse, logdiag = fast.gram_factor.leading(segment.inputs, fast.params)
+    assert inverse.base is fast.gram_factor._inv
+    for block in (inverse, logdiag):
+        with pytest.raises(ValueError):
+            block[0] = 0.0
+        with pytest.raises(ValueError):
+            block *= 2.0
     fresh = fixed_gp(channels=2)
     for model in (fast, fresh):
         model.fit(segment)
     np.testing.assert_array_equal(fast.prefix.scores, fresh.prefix.scores)
     np.testing.assert_array_equal(fast.suffix.scores, fresh.suffix.scores)
+
+
+@pytest.mark.parametrize("kernel, lengthscale", [(Kernel.RBF, 0.3), (Kernel.RBF, 1.0),
+                                                 (Kernel.RBF, 3.0), (Kernel.RBF, 20.0),
+                                                 (Kernel.DIRAC_DELTA, 1.0)])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("growth", [1, 7])
+def test_grid_inverse_matches_the_dense_oracle(kernel, lengthscale, channels, growth):
+    # The grid factor keeps L^{-1}, grown by bordered updates of 1 or 7
+    # points; every fit agrees with the dense Cholesky path, also on a
+    # shorter segment at a later offset, as after a detection reset.
+    fast = fixed_gp(kernel, channels, lengthscale=lengthscale)
+    dense = fixed_gp(kernel, channels, lengthscale=lengthscale, dense=True)
+    full = grid_window(200, channels, seed=29, dx=0.5, x0=3.0)
+    for end in range(29, 140, growth):
+        assert_models_agree(fast, dense, full.slice(0, end), rel=1e-9)
+        assert fast.gram_factor.size == end + 1 and fast.suffix is not None
+    reset = full.slice(150, 199)
+    assert_models_agree(fast, dense, reset, rel=1e-9)
+    assert fast.prefix.window is reset and fast.gram_factor.limit is None
 
 
 # -- prefix sums (one whitening per window) vs slice + fit -------------------------

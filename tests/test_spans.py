@@ -31,29 +31,35 @@ from gocpd.detector import Detector, DetectorConfig, stream_batches
 tracer = Tracer()
 tracer.install_layers()
 out = {{}}
-for workload in ("iid_mean_changes", "gp_rbf_fixed"):
+for run, workload in (("iid", "iid_mean_changes"), ("grid", "gp_rbf_fixed"),
+                      ("dense", "gp_rbf_fixed")):
     tracer.reset()
     detector = Detector(DetectorConfig.from_dict(WORKLOADS[workload]["config"]))
     tracer.install_detector(detector)
+    if run == "dense":  # the fixed GP with its grid factors switched off
+        detector.m0.gram_factor = detector.m1.gram_factor = detector.m2.gram_factor = None
     for batch in stream_batches(step_example(), 1):
         detector.step(batch)
     records = detector.instrumentation
-    out[workload] = {{
+    out[run] = {{
         "calls": {{name: span["calls"] for name, span in tracer.summary()["spans"].items()}},
         "searched": sum(r["searched"] for r in records),
         "evals": sum(r["evals"] for r in records),
         "tables": detector.m0.prefix is not None and detector.m0.prefix.scores is not None}}
 print(json.dumps(out))
 """, tmp_path)
-    for workload, extra in (("iid_mean_changes", "models.split.fit"),
-                            ("gp_rbf_fixed", "models.cholesky")):
-        calls = out[workload]["calls"]
-        assert calls["detector.step"] == 101, workload
-        for name in ALWAYS + (extra,):
-            assert calls.get(name, 0) > 0, (workload, name)
+    for run, extra in (("iid", ("models.split.fit",)), ("grid", ()),
+                       ("dense", ("models.cholesky", "models.split.fit"))):
+        calls = out[run]["calls"]
+        assert calls["detector.step"] == 101, run
+        for name in ALWAYS + extra:
+            assert calls.get(name, 0) > 0, (run, name)
+    # The grid path whitens with the grid factor's inverse and factors nothing;
+    # the dense path still calls the module-level cholesky.
+    assert out["grid"]["calls"].get("models.cholesky", 0) == 0
     # The fixed GP reads every split from m0's score tables. The tables are
     # built inside m0.fit and read inside evaluate, so neither span empties.
-    gp = out["gp_rbf_fixed"]
+    gp = out["grid"]
     assert gp["tables"]
     assert gp["calls"]["search.evaluate"] >= gp["evals"] > 0
     assert gp["calls"]["models.m0.fit"] >= gp["searched"] > 0

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from gocpd.errors import NonContiguousBatch
+from gocpd.errors import NonContiguousBatch, NonFiniteObservation
 from gocpd.window import TimeSeriesWindow
 
 
@@ -87,6 +87,9 @@ def test_extend_requires_contiguity():
         a.extend(gap)
     with pytest.raises(NonContiguousBatch, match="next starts at 5"):
         a.extend(gap)
+    # A NaN is named before the gap.
+    with pytest.raises(NonFiniteObservation, match="t=6"):
+        a.extend(TimeSeriesWindow(np.arange(2.0), [1.0, np.nan], start_index=5))
 
 
 def test_multichannel_shapes():
