@@ -11,9 +11,8 @@ stay model-agnostic:
 
 Every model exposes what the search and the detector read:
 
-* ``fit(window)`` -- maximum-likelihood parameter fitting;
+* ``fit(window)`` -- maximum-likelihood fitting; returns ``log_likelihood(window)`` after it;
 * ``log_likelihood(window)`` -- exact Gaussian (marginal) log-density;
-* ``avg_log_likelihood(window)`` -- log-likelihood divided by window length;
 * ``mahalanobis(window)`` / ``modified_mahalanobis(window)`` -- the distance
   ``sqrt(r^T Sigma^{-1} r)`` of the observations from the fitted means under
   the marginal covariance, and the length-corrected variant ``d^(2/n)``.
@@ -51,17 +50,17 @@ is one product ``W[:n, :n] @ v`` in numpy. Learned hyperparameters,
 non-uniform inputs, and growth its conditioning bound refuses all factor
 afresh with ``chol_with_jitter``, which stays the reference.
 
-On the grid ``fit`` also keeps backward sums. The grid's noisy Gram ``K``
-is symmetric Toeplitz, hence persymmetric: ``J K J = K`` with ``J`` the
-reversal (Golub & Van Loan, section 4.7). So the last ``r`` points read
-backwards have the same Gram ``K_r`` and the same ``log det``, and their
-innovations are the first ``r`` innovations of the reversed window under
-the same leading factor. ``fit`` whitens ``[1, y - y[0], rev(y) - y[-1]]``
-in one product and keeps the forward sums as ``prefix`` and the backward
-ones as ``suffix``, each with the score of every segment it covers in a
-table (``PrefixSums.scores``), as in Truong, Oudre & Vayatis (2020). The
-two tables are the rows of one float64 array, built with no Python object
-per entry; a search reads only the few entries it probes.
+A grid whitening is one product on ``[1, y - y[0], rev(y) - y[-1]]``, which
+also gives backward sums. The grid's noisy Gram ``K`` is symmetric Toeplitz,
+hence persymmetric: ``J K J = K`` with ``J`` the reversal (Golub & Van Loan,
+section 4.7). So the last ``r`` points read backwards have the same Gram
+``K_r`` and the same ``log det``, and their innovations are the first ``r``
+innovations of the reversed window under the same leading factor. ``fit``
+keeps the forward sums as ``prefix`` and the backward ones as ``suffix``, each
+with the log-likelihood of every segment it covers in a table
+(``PrefixSums.scores``), as in Truong, Oudre & Vayatis (2020). The two tables
+are the rows of one float64 array, built with no Python object per entry; a
+search reads only the few it probes.
 
 Observations are checked for NaN and inf once, as they arrive
 (``Detector.step`` checks the first batch, ``TimeSeriesWindow.extend`` the
@@ -300,11 +299,10 @@ class PrefixSums:
     spread of the outputs, not by their level. Sums of the reversed window
     (``ref = y[-1]``) score its last ``m`` points in the same way.
 
-    A backward whitening tabulates ``scores[m] = log_likelihood(m, mean(m)) / m``,
-    the average log-likelihood at the segment's own means, in a float64
-    array of ``len(window) + 1`` entries whose ``scores[0]`` is NaN. The
-    forward and backward tables are the two rows of one array; a reader
-    takes each entry it needs as a Python float, ``scores.item(m)``.
+    A backward whitening tabulates ``scores[m] = log_likelihood(m, mean(m))``,
+    the segment's log-likelihood at its own means, for ``m = 0 .. len(window)``
+    (``scores[0]`` is NaN); the forward and backward tables are the rows of one
+    float64 array, and a reader takes an entry as a Python float, ``scores.item(m)``.
     """
 
     window: TimeSeriesWindow
@@ -341,7 +339,7 @@ class PrefixSums:
         shift = (ref + a / g) - ref
         quad = (syy[1:] - 2.0 * shift * a + shift**2 * g).reshape(-1, 2, c).sum(axis=2)
         scores = np.full((2, len(y) + 1), math.nan)
-        scores[:, 1:] = (-0.5 * (quad + c * (logdet[1:, None] + m * LOG_2PI)) / m).T
+        scores[:, 1:] = (-0.5 * (quad + c * (logdet[1:, None] + m * LOG_2PI))).T
         return (cls(window, y[0], s11, logdet, s1y[:, :c], syy[:, :c], scores[0]),
                 cls(window, y[-1], s11, logdet, s1y[:, c:], syy[:, c:], scores[1]))
 
@@ -371,7 +369,7 @@ class ObservationModel:
 
     Concrete families implement ``fit``, ``log_likelihood`` and the marginal
     ``mahalanobis``; ``avg_log_likelihood`` and ``modified_mahalanobis``
-    derive from them. These five are all the search and the detector read.
+    derive from them. The search and the detector read all but the average.
     Instances are single-writer: do not fit and score concurrently on one object.
     """
 
@@ -410,8 +408,8 @@ class ObservationModel:
 
     # -- interface implemented by families ---------------------------------
 
-    def fit(self, window: TimeSeriesWindow) -> "ObservationModel":
-        """Fit from the current ``params``; bind ``params`` to a new object."""
+    def fit(self, window: TimeSeriesWindow) -> float:
+        """Fit from the current ``params``, bind new ones, return ``log_likelihood(window)``."""
         raise NotImplementedError
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
@@ -451,25 +449,28 @@ class IidGaussianModel(ObservationModel):
         super().__init__(prior_params, min_fit_points=min_fit_points)
         self.fix_noise = fix_noise
 
-    def fit(self, window: TimeSeriesWindow) -> "IidGaussianModel":
+    @staticmethod
+    def _log_density(ss, size: int, var: float) -> float:
+        """Log-density of ``size`` residuals ``N(0, var)`` whose squares sum to ``ss``."""
+        return float(-0.5 * (ss / var + size * (math.log(var) + LOG_2PI)))
+
+    def fit(self, window: TimeSeriesWindow) -> float:
         self._check_window(window)
         self._check_fit_size(window)
         y, p = window.outputs, self.params
         # The ufunc reductions np.mean and np.sum make, without their wrappers.
         mean = np.add.reduce(y, 0) / len(y)
-        noise_std = p.noise_std
-        if not self.fix_noise:
-            r = y - mean
-            noise_std = max(math.sqrt(np.add.reduce(r * r, None) / r.size), _NOISE_FLOOR)
+        r = y - mean
+        ss = np.add.reduce(r * r, None)
+        noise_std = p.noise_std if self.fix_noise else max(math.sqrt(ss / r.size), _NOISE_FLOOR)
         # Built directly: dataclasses.replace costs about 3x more per fit.
         self.params = ModelParams(mean, noise_std, p.lengthscale, p.output_scale, p.kernel)
-        return self
+        return self._log_density(ss, r.size, noise_std**2)
 
     def log_likelihood(self, window: TimeSeriesWindow) -> float:
         self._check_window(window)
         r = window.outputs - self.params.mean
-        var = self.params.noise_std**2
-        return float(-0.5 * (np.add.reduce(r * r, None) / var + r.size * (math.log(var) + LOG_2PI)))
+        return self._log_density(np.add.reduce(r * r, None), r.size, self.params.noise_std**2)
 
     def mahalanobis(self, window: TimeSeriesWindow) -> float:
         # Diagonal covariance: the distance is the norm of the scaled residuals.
@@ -517,16 +518,15 @@ class GaussianProcessModel(ObservationModel):
 
     # -- factor and sums -----------------------------------------------------
 
-    def _whiten(self, window: TimeSeriesWindow, params: ModelParams, backward: bool = False
+    def _whiten(self, window: TimeSeriesWindow, params: ModelParams
                 ) -> tuple[PrefixSums, PrefixSums | None, np.ndarray | None]:
-        """Forward sums of ``window`` under ``params``, backward sums (on the
-        grid, when ``backward`` asks; else None) and the dense lower factor
-        solved against (None where the grid factor's inverse applies)."""
+        """Forward sums of ``window`` under ``params``, backward sums on the grid (else
+        None), and the dense lower factor solved against (None on the grid)."""
         x = window.inputs
         grid = None if self.gram_factor is None else self.gram_factor.leading(x, params)
         if grid is not None:
             inverse, logdiag = grid
-            return *PrefixSums.whiten(window, inverse.__matmul__, logdiag, backward), None
+            return *PrefixSums.whiten(window, inverse.__matmul__, logdiag), None
         lower = chol_with_jitter(noisy_gram(x, params))
         solve = partial(_linalg().solve_triangular, lower, lower=True, check_finite=False)
         forward, _ = PrefixSums.whiten(window, solve, 2.0 * np.log(np.diag(lower)), False)
@@ -577,18 +577,19 @@ class GaussianProcessModel(ObservationModel):
             grad.append(0.5 * quad - 0.5 * self.channel_count * trace)
         return np.array(grad)
 
-    def fit(self, window: TimeSeriesWindow) -> "GaussianProcessModel":
+    def fit(self, window: TimeSeriesWindow) -> float:
         self._check_window(window)
         self._check_fit_size(window)
         if not self.fitted:
-            # Fixed kernel and noise: the means are the whole fit. The sums
-            # are kept on the grid only, where they come with their tables.
+            # Fixed kernel and noise: the means are the whole fit. Grid sums are kept, with tables.
             self.prefix = self.suffix = None
-            prefix, suffix, _ = self._whiten(window, self.params, backward=True)
-            self.params = replace(self.params, mean=prefix.mean(len(window)))
-            if suffix is not None:
-                self.prefix, self.suffix = prefix, suffix
-            return self
+            prefix, suffix, _ = self._whiten(window, self.params)
+            n = len(window)
+            self.params = replace(self.params, mean=prefix.mean(n))
+            if suffix is None:
+                return prefix.log_likelihood(n, self.params.mean)
+            self.prefix, self.suffix = prefix, suffix
+            return prefix.scores.item(n)
         params = self.params.copy()
         sq = _sqdist(window.inputs, window.inputs)
         objective, chol_lower = self._objective(window, params)
@@ -621,7 +622,7 @@ class GaussianProcessModel(ObservationModel):
                 break
 
         self.params = params
-        return self
+        return objective
 
     # -- prediction ----------------------------------------------------------
 

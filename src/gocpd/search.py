@@ -1,16 +1,17 @@
 """Candidate change point search primitives.
 
 The split metric for a window spanning ``[start, t]`` and a split point
-``tau`` is the sum of the averaged log-likelihoods of two models fitted on
-``[start, tau - 1]`` and ``[tau, t]``. For data containing a single change
-the metric is unimodal in ``tau``, so its argmax can be located with a
-discrete ternary search in ``O(log n)`` evaluations instead of a linear
-scan. Searches start from the best split of the previous iteration, the
-saved candidate. By rule, no split left of it is searched again, so it is
-the domain's left edge ``lo`` whenever that edge is admissible, and the
-search compares ``score(lo)`` against its probes at every level. The rule
-is a choice, not a property of the metric: the optimum can move left of
-the candidate, and ROADMAP.md item 4 measures what that costs.
+``tau`` sums the log-likelihoods of two models fitted on ``[start, tau - 1]``
+and ``[tau, t]``, each divided by its segment's length, in one line of
+``SplitScorer.evaluate``. For data containing a single change the metric is
+unimodal in ``tau``, so its argmax can be located with a discrete ternary
+search in ``O(log n)`` evaluations instead of a linear scan. Searches start
+from the best split of the previous iteration, the saved candidate. By rule,
+no split left of it is searched again, so it is the domain's left edge ``lo``
+whenever that edge is admissible, and the search compares ``score(lo)``
+against its probes at every level. The rule is a choice, not a property of the
+metric: the optimum can move left of the candidate, and ROADMAP.md item 4
+measures what that costs.
 
 ``Detector.step`` composes the pieces: ``effective_interval``'s bounds,
 then a ``SplitScorer``, then ``ternary_argmax``. ``Detector`` keeps the
@@ -52,11 +53,12 @@ class SplitScorer:
     ``cache`` maps each evaluated split to its score, so ``len(cache)``
     counts the evaluations made.
 
-    ``prefix`` and ``suffix``, when given, hold the forward and backward
-    ``PrefixSums`` of ``window`` under the models' fixed hyperparameters:
-    a split then reads one entry of each one's ``scores``, with no slice,
-    fit or array arithmetic. Otherwise each evaluation fits both models on
-    views of the window. Models that learn hyperparameters (a non-empty
+    ``evaluate`` forms the metric ``ll_left / m + ll_right / r`` from the
+    log-likelihoods of the split's segments of ``m`` and ``r`` points. Given
+    the forward and backward ``PrefixSums`` of ``window`` under the models'
+    fixed hyperparameters, each is one entry of ``prefix.scores`` or
+    ``suffix.scores``; else it is what fitting a model on a view of the
+    window returns. Models that learn hyperparameters (a non-empty
     ``fitted``) warm-start from the nearest previously evaluated split of
     this iteration (or, for the first evaluation, from their current
     parameters); ``fits`` keeps those parameters, and stays empty for
@@ -82,24 +84,21 @@ class SplitScorer:
         win = self.window
         if not (win.start_index < tau <= win.end_index):
             raise ValueError(f"split {tau} outside window ({win.start_index}, {win.end_index}]")
+        m, r = tau - win.start_index, win.end_index - tau + 1
         if self.prefix is None:
             warm = self.left_model.fitted
             if warm and self.fits:
                 nearest = min(self.fits, key=lambda seen: abs(seen - tau))
                 self.left_model.params, self.right_model.params = self.fits[nearest]
-            left = win.slice(win.start_index, tau - 1)
-            right = win.slice(tau, win.end_index)
-            self.left_model.fit(left)
-            self.right_model.fit(right)
-            value = float(self.left_model.avg_log_likelihood(left)
-                          + self.right_model.avg_log_likelihood(right))
+            ll_left = self.left_model.fit(win.slice(win.start_index, tau - 1))
+            ll_right = self.right_model.fit(win.slice(tau, win.end_index))
             if warm:
                 self.fits[tau] = (self.left_model.params, self.right_model.params)
         else:
-            m, r = tau - win.start_index, win.end_index - tau + 1
             if m < self.left_model.min_fit_points or r < self.right_model.min_fit_points:
                 raise TooFewPoints(f"split {tau} leaves a segment below the fitting minimum")
-            value = self.prefix.scores.item(m) + self.suffix.scores.item(r)
+            ll_left, ll_right = self.prefix.scores.item(m), self.suffix.scores.item(r)
+        value = float(ll_left / m + ll_right / r)  # the split metric
         self.cache[tau] = value
         return value
 

@@ -255,6 +255,31 @@ def test_fits_that_ignore_their_start_are_not_warm_started(make):
     assert params_equal(scorer.right_model.params, oracle.right_model.params)
 
 
+@pytest.mark.parametrize("make", [lambda: fixed_iid(noise=0.1), off_grid_fixed_gp])
+def test_split_evaluation_does_not_score_its_fits_again(make, monkeypatch):
+    # Each side's log-likelihood is what its fit returned: scoring a fitted
+    # segment again would be a second pass over it (a second solve for a GP).
+    w = step_window(n_left=25, n_right=30, noise=0.2, seed=4)
+    w = TimeSeriesWindow(np.cumsum(np.linspace(0.5, 1.5, len(w))), w.outputs)
+    taus = [27, 10, 40, 26, 3, 52, 33, 18]
+    left_model, right_model, wants = make(), make(), []
+    for tau in taus:  # the oracle fits, then scores each segment
+        left, right = w.slice(w.start_index, tau - 1), w.slice(tau, w.end_index)
+        left_model.fit(left)
+        right_model.fit(right)
+        wants.append(float(left_model.log_likelihood(left) / len(left)
+                           + right_model.log_likelihood(right) / len(right)))
+
+    def rescored(*args, **kwargs):
+        raise AssertionError("a fitted segment was scored again")
+
+    scorer = SplitScorer(w, make(), make())
+    for model in (scorer.left_model, scorer.right_model):
+        monkeypatch.setattr(model, "log_likelihood", rescored)
+        monkeypatch.setattr(model, "avg_log_likelihood", rescored)
+    assert [scorer.evaluate(tau) for tau in taus] == wants
+
+
 # -- ternary_argmax over real windows ------------------------------------------
 
 def test_step_data_candidate_near_true_change():
