@@ -10,7 +10,7 @@ per-channel standardization used before detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,6 +85,11 @@ class RegimeScript:
             raise ConfigError(f"{len(locs)} segments but {len(self.factors)} factors")
         if self.vary != "mean" and not all(f > 0 for f in self.factors):
             raise ConfigError(f"factors must be > 0 when varying {self.vary}")
+        for index in range(len(locs)):
+            try:
+                self.segment_params(index)
+            except ValueError as exc:
+                raise ConfigError(f"factors[{index}]: {exc}") from None
 
     def segment_bounds(self) -> list[tuple[int, int]]:
         """Half-open (start, stop) index pairs covering 0..length."""
@@ -98,12 +103,7 @@ class RegimeScript:
 
     def segment_params(self, index: int) -> ModelParams:
         p = self.base_params.copy()
-        factor = self.factors[index]
-        if self.vary == "mean":
-            p.mean = p.mean * factor
-        else:
-            setattr(p, self.vary, getattr(p, self.vary) * factor)
-        return p
+        return replace(p, **{self.vary: getattr(p, self.vary) * self.factors[index]})
 
 
 def standard_script(vary: str, seed: int = 0) -> RegimeScript:
@@ -155,19 +155,21 @@ def standardize(window: TimeSeriesWindow) -> tuple[TimeSeriesWindow, list[tuple[
     """Scale each channel to zero mean and unit standard deviation.
 
     Returns the transformed window and the per-channel ``(mean, std)``
-    pairs needed to invert the transform. Raises ZeroVariance for a
-    constant channel, and NonFiniteObservation naming the first timestamp
-    that holds a NaN or inf, before any statistic could spread it.
+    pairs needed to invert the transform. Raises NonFiniteObservation at
+    the first timestamp holding a NaN or inf, before any statistic, then
+    ZeroVariance for a constant channel and ValueError for an overflowing one.
     """
     require_finite(window)
     y = window.outputs
     transform = []
     cols = []
     for c in range(window.channel_count):
-        mu = float(y[:, c].mean())
-        sd = float(y[:, c].std())
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            mu, sd = float(y[:, c].mean()), float(y[:, c].std())
         if sd <= 0.0:
             raise ZeroVariance(f"channel {c} has zero variance")
+        if not sd < np.inf:  # NaN too
+            raise ValueError(f"channel {c}: its mean or spread overflows a float")
         transform.append((mu, sd))
         cols.append((y[:, c] - mu) / sd)
     out = TimeSeriesWindow(window.inputs.copy(), np.column_stack(cols),

@@ -45,15 +45,14 @@ logger = logging.getLogger("gocpd.detector")
 
 @dataclass
 class ModelSpec:
-    """Observation-model choice and priors, JSON-serializable. The priors
-    are built, and their bounds checked, once, at construction."""
+    """Observation-model choice and priors, JSON-serializable; the priors, checked at
+    construction, hold one placeholder mean, since the data sets the channel count."""
 
     family: str = "iid"
     kernel: str = "rbf"
     lengthscale: float = 1.0
     output_scale: float = 1.0
     noise_std: float = 0.1
-    channels: int = 1
     fix_noise: bool = False
     fix_kernel: bool = False
     fix_output_scale: bool = False
@@ -62,14 +61,10 @@ class ModelSpec:
 
     def __post_init__(self):
         check_fields(self, "model.", family=("iid", "gp"), kernel=("rbf", "dirac"),
-                     channels=">= 1", min_fit_points=">= 1", max_fit_iters=">= 0")
-        try:
-            mean = [0.0] * self.channels
-        except (OverflowError, MemoryError) as exc:
-            raise ConfigError(f"model.channels is too large, got {self.channels}") from exc
+                     min_fit_points=">= 1", max_fit_iters=">= 0")
         try:
             self.priors = ModelParams(
-                mean=mean,
+                mean=[0.0],
                 noise_std=self.noise_std,
                 lengthscale=self.lengthscale,
                 output_scale=self.output_scale,
@@ -168,19 +163,16 @@ class Detector:
         Numerical failures inside the search or the criterion degrade to a
         logged no-op; the stream stays alive. A batch holding NaN or inf
         (``NonFiniteObservation``, checked here for the first batch and by
-        ``TimeSeriesWindow.extend`` for later ones, before anything else), a
-        first batch with the wrong channel count, or a later batch that does
-        not continue the window (``NonContiguousBatch``) or whose input or
-        channel count differs from it (``ValueError``, both from ``extend``)
-        raises and leaves the detector as it was.
+        ``TimeSeriesWindow.extend`` for later ones, before anything else), or
+        a later batch that does not continue the window (``NonContiguousBatch``)
+        or whose input or channel count differs from it (``ValueError``, both
+        from ``extend``) raises and leaves the detector as it was. The first
+        batch sets the channel count.
         """
         started = time.perf_counter()
         cfg = self.config
         if self.window is None:
             require_finite(batch)
-            if batch.channel_count != cfg.model.channels:
-                raise ValueError(f"batch has {batch.channel_count} channels, "
-                                 f"config.model has {cfg.model.channels}")
             self.window = batch
             self.last_change = batch.start_index
         else:

@@ -24,7 +24,8 @@ Every fit starts from the model's current ``params`` and ends by binding
 ``params`` to a new ``ModelParams`` built in that call; it never writes to
 a parameter object it did not create, so callers may keep fitted ``params``
 and hand them back as a later starting point without copying. ``reset()``
-is the only way back to the priors.
+is the only way back to the priors. A fit takes its means, and their count,
+from its window; the methods that read the means refuse a window of another count.
 
 The GP family has one kernel (``gram``, ``noisy_gram``), one whitening
 (``PrefixSums.whiten``) and one seam that picks a factor and whitens a
@@ -86,6 +87,8 @@ from .window import TimeSeriesWindow
 
 LOG_2PI = math.log(2.0 * math.pi)
 _EPS = float(np.finfo(float).eps)
+# The largest floats whose squares round to 0 and stay finite.
+_ROOT_MIN, _ROOT_MAX = 1.5717277847026285e-162, math.sqrt(np.finfo(float).max)
 
 # Diagonal jitter ladder applied when a Gram matrix fails to factorize.
 JITTER_INITIAL = 1e-8
@@ -110,11 +113,10 @@ class Kernel(str, Enum):
 
 @dataclass
 class ModelParams:
-    """Hyperparameters of a Gaussian observation model.
-
-    ``lengthscale`` and ``output_scale`` are ignored by the Dirac-delta
-    kernel, whose covariance is the indicator ``K(x, x') = 1 if x == x'``.
-    ``mean`` holds one constant per channel.
+    """Hyperparameters of a Gaussian observation model: ``mean`` holds one
+    constant per channel, and each scale is kept as a float whose square is
+    > 0 and finite. The Dirac-delta kernel, ``K(x, x') = 1 if x == x'``,
+    ignores ``lengthscale`` and ``output_scale``.
     """
 
     mean: np.ndarray
@@ -125,12 +127,17 @@ class ModelParams:
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        if not 0 < self.lengthscale < math.inf:
-            raise ValueError(f"lengthscale must be > 0 and finite, got {self.lengthscale}")
-        if not 0 < self.output_scale < math.inf:
-            raise ValueError(f"output_scale must be > 0 and finite, got {self.output_scale}")
-        if not 0 < self.noise_std < math.inf:
-            raise ValueError(f"noise_std must be > 0 and finite, got {self.noise_std}")
+        try:  # an integer too large for any float is compared as it is, and refused
+            ls, s, sn = float(self.lengthscale), float(self.output_scale), float(self.noise_std)
+        except OverflowError:
+            ls, s, sn = self.lengthscale, self.output_scale, self.noise_std
+        if not _ROOT_MIN < ls <= _ROOT_MAX:
+            raise ValueError(f"lengthscale must be > 0, with a finite, nonzero square, got {ls}")
+        if not _ROOT_MIN < s <= _ROOT_MAX:
+            raise ValueError(f"output_scale must be > 0, with a finite, nonzero square, got {s}")
+        if not _ROOT_MIN < sn <= _ROOT_MAX:
+            raise ValueError(f"noise_std must be > 0, with a finite, nonzero square, got {sn}")
+        self.lengthscale, self.output_scale, self.noise_std = ls, s, sn
 
     def copy(self) -> "ModelParams":
         return replace(self, mean=self.mean.copy())
@@ -394,10 +401,8 @@ class ObservationModel:
 
     def _check_window(self, window: TimeSeriesWindow) -> None:
         if window.channel_count != self.channel_count:
-            raise ValueError(
-                f"window has {window.channel_count} channels, model expects "
-                f"{self.channel_count}"
-            )
+            raise ValueError(f"window has {window.channel_count} channels, model expects "
+                             f"{self.channel_count}")
 
     def _check_fit_size(self, window: TimeSeriesWindow) -> None:
         if len(window) < self.min_fit_points:
@@ -455,7 +460,6 @@ class IidGaussianModel(ObservationModel):
         return float(-0.5 * (ss / var + size * (math.log(var) + LOG_2PI)))
 
     def fit(self, window: TimeSeriesWindow) -> float:
-        self._check_window(window)
         self._check_fit_size(window)
         y, p = window.outputs, self.params
         # The ufunc reductions np.mean and np.sum make, without their wrappers.
@@ -561,7 +565,7 @@ class GaussianProcessModel(ObservationModel):
         and the inputs' squared distances ``sq``."""
         y, x = window.outputs, window.inputs
         kinv = _linalg().cho_solve((chol_lower, True), np.eye(len(y)), check_finite=False)
-        alphas = [kinv @ (y[:, c] - params.mean[c]) for c in range(self.channel_count)]
+        alphas = [kinv @ (y[:, c] - params.mean[c]) for c in range(y.shape[1])]
         dmats = []  # noisy-Gram derivatives, in ``fitted`` order
         if "lengthscale" in self.fitted:
             ks = gram(x, x, params)
@@ -574,11 +578,10 @@ class GaussianProcessModel(ObservationModel):
         for dmat in dmats:
             quad = sum(a @ dmat @ a for a in alphas)
             trace = float(np.sum(kinv * dmat))  # dmat symmetric
-            grad.append(0.5 * quad - 0.5 * self.channel_count * trace)
+            grad.append(0.5 * quad - 0.5 * y.shape[1] * trace)
         return np.array(grad)
 
     def fit(self, window: TimeSeriesWindow) -> float:
-        self._check_window(window)
         self._check_fit_size(window)
         if not self.fitted:
             # Fixed kernel and noise: the means are the whole fit. Grid sums are kept, with tables.

@@ -167,6 +167,17 @@ def test_generate_script_unknown_key_is_named(tmp_path, capsys, script, named):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("vary, factor", [("noise_std", 1e308), ("lengthscale", 1e-300)])
+def test_generate_script_factor_that_breaks_a_bound_is_named(tmp_path, capsys, vary, factor):
+    script = {"length": 200, "change_locations": [0, 100], "vary": vary, "factors": [1, factor]}
+    spath = tmp_path / "script.json"
+    write_json(spath, script)
+    rc = main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: factors[1]: {vary} must be > 0, with a")
+    assert not (tmp_path / "x").exists()
+
+
 def test_generate_script_holding_a_preset_names_it(tmp_path, capsys):
     # A bundled series is asked for with --preset NAME --seed N alone.
     spath = tmp_path / "script.json"
@@ -265,15 +276,57 @@ def test_detect_fractional_batch_size_is_a_config_error(tmp_path, step_csv, caps
     assert "error: batch_size must be an integer" in capsys.readouterr().err
 
 
-def test_detect_channel_mismatch_rejected(tmp_path, config_path, capsys):
-    y = np.column_stack([np.zeros(50), np.ones(50)])
-    w = TimeSeriesWindow(np.arange(50.0), y)
+def test_detect_takes_the_channel_count_from_the_data(tmp_path):
+    # The config names no channel count; a 2-channel file runs as it is.
+    doc = step_config_doc()
+    doc["nu2"] = 1.5
+    config_path = tmp_path / "config.json"
+    write_json(config_path, doc)
+    rng = np.random.default_rng(6)
+    y = np.column_stack([
+        np.concatenate([rng.normal(0, 0.1, 100), rng.normal(1, 0.1, 100)]),
+        np.concatenate([rng.normal(0, 0.1, 100), rng.normal(-1, 0.1, 100)]),
+    ])
     dpath = tmp_path / "two.csv"
-    write_series_csv(dpath, w)
-    rc = main(["detect", "--data", str(dpath), "--config", str(config_path),
+    write_series_csv(dpath, TimeSeriesWindow(np.arange(200.0), y))
+    out = tmp_path / "run"
+    rc = main(["detect", "--data", str(dpath), "--config", str(config_path), "--out", str(out)])
+    assert rc == 0
+    events = [r for r in read_jsonl(out / "events.jsonl") if r["kind"] == "detection"]
+    assert [(e["change_point"], e["declared_at"]) for e in events] == [(100, 108)]
+
+
+@pytest.mark.parametrize("model, field", [
+    ({"family": "iid", "noise_std": 1e200, "fix_noise": True}, "noise_std"),
+    ({"family": "iid", "noise_std": 10**400, "fix_noise": True}, "noise_std"),
+    ({"family": "gp", "output_scale": 1e200, "fix_kernel": True, "fix_noise": True},
+     "output_scale"),
+    ({"family": "gp", "lengthscale": 1e-200, "fix_kernel": True, "fix_noise": True},
+     "lengthscale"),
+])
+def test_detect_hyperparameter_whose_square_leaves_the_floats_is_named(
+        tmp_path, step_csv, capsys, model, field):
+    doc = step_config_doc()
+    doc["model"] = model
+    cpath = tmp_path / "square.json"
+    write_json(cpath, doc)
+    rc = main(["detect", "--data", str(step_csv), "--config", str(cpath),
                "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert "channels" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model.{field} must be > 0, with a finite, nonzero square")
+    assert not (tmp_path / "run").exists()
+
+
+def test_detect_standardize_overflowing_channel_is_named(tmp_path, config_path, capsys):
+    # Every value is finite, but the channel's mean and spread overflow.
+    y = np.column_stack([np.arange(120.0), np.full(120, 1e308)])
+    dpath = tmp_path / "huge.csv"
+    write_series_csv(dpath, TimeSeriesWindow(np.arange(120.0), y))
+    rc = main(["detect", "--data", str(dpath), "--config", str(config_path),
+               "--out", str(tmp_path / "run"), "--standardize"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: channel 1: its mean or spread overflows a float\n"
 
 
 def nan_at_forty_csv(tmp_path):

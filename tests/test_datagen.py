@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gocpd.datagen import (FACTOR_TABLES, RegimeScript, sample_piecewise_gp,
+from gocpd.datagen import (FACTOR_TABLES, RegimeScript, base_params, sample_piecewise_gp,
                            standard_script, standardize, step_example)
-from gocpd.errors import NonFiniteObservation, ZeroVariance
+from gocpd.errors import ConfigError, NonFiniteObservation, ZeroVariance
 from gocpd.models import Kernel, ModelParams
 from gocpd.window import TimeSeriesWindow
 
@@ -45,6 +45,17 @@ def test_script_validation():
     for factor in (0, -2.0):
         with pytest.raises(ValueError, match="factors must be > 0 when varying noise_std"):
             RegimeScript(**{**base, "vary": "noise_std", "factors": [1, factor, 3]})
+
+
+@pytest.mark.parametrize("vary, factor", [("noise_std", 1e308), ("lengthscale", 1e-300),
+                                          ("output_scale", 1e200)])
+def test_script_factor_that_breaks_a_hyperparameter_bound_is_named(vary, factor):
+    # The scaled value's square overflows or underflows; found when the script is made.
+    base = dict(length=200, change_locations=[0, 60, 120], factors=[1, 2, factor])
+    with pytest.raises(ConfigError, match=rf"^factors\[2\]: {vary} must be > 0, with a finite"):
+        RegimeScript(**base, vary=vary)
+    params = RegimeScript(**{**base, "factors": [1, 2, 3]}, vary=vary).segment_params(2)
+    assert getattr(params, vary) == 3 * getattr(base_params({}), vary)
 
 
 def test_script_accepts_numpy_scalar_factors():
@@ -181,6 +192,14 @@ def test_standardize_rejects_constant_channel():
     w = TimeSeriesWindow(np.arange(4.0), np.full(4, 2.5))
     with pytest.raises(ZeroVariance):
         standardize(w)
+
+
+@pytest.mark.parametrize("column", [np.full(50, 1e308), np.tile([1.5e308, -1.5e308], 25)])
+def test_standardize_refuses_a_channel_whose_mean_or_spread_overflows(column):
+    # Finite values whose mean (the first) or spread (the second) is past the floats.
+    y = np.column_stack([np.arange(50.0), column])
+    with pytest.raises(ValueError, match="^channel 1: its mean or spread overflows a float$"):
+        standardize(TimeSeriesWindow(np.arange(50.0), y))
 
 
 def test_standardize_names_first_non_finite_timestamp():

@@ -58,23 +58,24 @@ def test_config_validation():
         DetectorConfig(t_ini=4, model=ModelSpec(min_fit_points=3))
     with pytest.raises(ConfigError):
         DetectorConfig(batch_size=0)
-    for name, value in (("channels", 0), ("channels", -2), ("max_fit_iters", -3)):
-        doc = DetectorConfig().to_dict()
-        doc["model"][name] = value
-        with pytest.raises(ConfigError, match=f"model.{name}"):
-            DetectorConfig.from_dict(doc)
-
-
-def test_config_rejects_a_channel_count_past_the_index_range():
-    # 10**30 cannot be an index, so nothing is allocated for it.
     doc = DetectorConfig().to_dict()
-    doc["model"]["channels"] = 10**30
-    with pytest.raises(ConfigError, match="model.channels"):
+    doc["model"]["max_fit_iters"] = -3
+    with pytest.raises(ConfigError, match="model.max_fit_iters"):
+        DetectorConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 10**30])
+def test_config_naming_channels_is_an_unknown_field(channels):
+    # The channel count comes from the data, so the config cannot state it.
+    doc = DetectorConfig().to_dict()
+    assert "channels" not in doc["model"]
+    doc["model"]["channels"] = channels
+    with pytest.raises(ConfigError, match=r"^config\.model has unknown field\(s\): channels \(known:"):
         DetectorConfig.from_dict(doc)
 
 
 @pytest.mark.parametrize("field", ["k_max", "t_ini", "wait", "search_tol", "batch_size",
-                                   "model.channels", "model.min_fit_points",
+                                   "model.min_fit_points",
                                    "model.max_fit_iters"])
 def test_config_integer_fields_reject_floats_and_bools(field):
     doc = DetectorConfig().to_dict()
@@ -126,6 +127,10 @@ def _set_field(doc, field, value):
     ("model.noise_std", -1),             # hyperparameter bounds, checked at from_dict
     ("model.lengthscale", math.nan),
     ("model.output_scale", 0.0),
+    ("model.noise_std", 1e200),          # a square that overflows
+    pytest.param("model.noise_std", 10**400, id="model.noise_std-10**400"),  # past any float
+    ("model.output_scale", 1e200),
+    ("model.lengthscale", 1e-200),       # a square that underflows to 0
 ])
 def test_config_from_dict_names_the_bad_field(field, value):
     doc = _set_field(step_config().to_dict(), field, value)
@@ -143,9 +148,7 @@ def test_config_accepts_infinite_thresholds_and_numpy_scalars():
 
 _JSON_LIKE = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=5)
-    # Integers stay small: a valid config asking for 2**40 channels really
-    # allocates that many prior means.
-    | st.integers(-2**16, 2**16),
+    | st.integers(-2**80, 2**80),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
                                                                 max_size=3),
     max_leaves=6)
@@ -449,15 +452,6 @@ def test_non_finite_batch_that_skips_ahead_raises_non_finite():
     assert [e.to_dict() for e in det.events] == [e.to_dict() for e in clean.events]
 
 
-def test_wrong_channel_count_raises_before_any_state():
-    det = Detector(step_config())
-    two = TimeSeriesWindow(np.arange(40.0), np.zeros((40, 2)))
-    with pytest.raises(ValueError, match="2 channels"):
-        det.step(two.slice(0, 0))
-    assert det.window is None
-    assert det.instrumentation == []
-
-
 def test_fixed_gp_nan_raises_at_its_step():
     y = np.random.default_rng(8).normal(size=60)
     y[40] = np.nan
@@ -628,10 +622,28 @@ def test_two_channel_stream_detects_joint_mean_shift():
     # levels sit higher than in the single-channel configuration
     cfg = step_config(nu1=1.05, nu2=1.5,
                       model=ModelSpec(family="iid", noise_std=0.1, fix_noise=True,
-                                      min_fit_points=3, channels=2))
+                                      min_fit_points=3))
     det = run_series(w, cfg)
-    assert len(det.events) == 1
-    assert 95 <= det.events[0].change_point <= 105
+    # The config names no channel count; these are the events it gave when
+    # it had to state two channels.
+    assert [(e.change_point, e.declared_at) for e in det.events] == [(100, 108)]
+    assert det.m0.channel_count == 2
+
+
+def test_channel_count_comes_from_the_first_batch():
+    # One config serves streams of any channel count; within a stream, a
+    # later batch of another count is still refused and changes nothing.
+    one = step_example()
+    two = TimeSeriesWindow(one.inputs, np.hstack([one.outputs, -one.outputs]))
+    for series in (one, two):
+        det = run_series(series, step_config())
+        assert det.window.channel_count == series.channel_count
+        assert [(e.change_point, e.declared_at) for e in det.events] == [(50, 71)]
+    det = Detector(step_config())
+    det.step(two.slice(0, 0))
+    with pytest.raises(ValueError, match="C=2"):
+        det.step(TimeSeriesWindow(np.array([1.0]), np.zeros((1, 3)), start_index=1))
+    assert det.window.channel_count == 2 and len(det.instrumentation) == 1
 
 
 # -- tuning ---------------------------------------------------------------------------

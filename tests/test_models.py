@@ -178,11 +178,38 @@ def test_iid_model_equals_the_numpy_formulas_exactly(channels, fix_noise, level)
 
 
 def test_window_of_another_channel_count_is_rejected():
-    two = TimeSeriesWindow(np.arange(5.0), np.zeros((5, 2)))
-    for model in (iid(), gp()):
-        for call in (model.fit, model.log_likelihood, model.mahalanobis):
+    # A fit binds the channel count of its window; what reads the means
+    # refuses a window of another count, before and after the fit.
+    two = TimeSeriesWindow(np.arange(5.0), np.arange(10.0).reshape(5, 2))
+    three = TimeSeriesWindow(np.arange(5.0), np.zeros((5, 3)))
+    for model in (iid(), gp(), fixed_gp()):
+        for call in (model.log_likelihood, model.mahalanobis):
             with pytest.raises(ValueError, match="window has 2 channels, model expects 1"):
                 call(two)
+        assert model.fit(two) == model.log_likelihood(two)
+        assert model.channel_count == 2
+        for call in (model.log_likelihood, model.mahalanobis):
+            with pytest.raises(ValueError, match="window has 3 channels, model expects 2"):
+                call(three)
+    with pytest.raises(ValueError, match="window has 3 channels, model expects 2"):
+        model.posterior(np.arange(2.0), three)
+
+
+@pytest.mark.parametrize("make", [
+    lambda mean: IidGaussianModel(ModelParams(mean=mean, noise_std=0.4), fix_noise=True),
+    lambda mean: IidGaussianModel(ModelParams(mean=mean, noise_std=0.4)),
+    lambda mean: GaussianProcessModel(ModelParams(mean=mean, noise_std=0.4, kernel=Kernel.RBF),
+                                      fix_kernel=True, fix_noise=True),
+    lambda mean: GaussianProcessModel(ModelParams(mean=mean, noise_std=0.4, kernel=Kernel.RBF),
+                                      max_fit_iters=10),
+], ids=["iid_fixed", "iid_learned", "gp_fixed", "gp_learned"])
+def test_fit_takes_the_channel_count_from_its_window(make):
+    # A prior with one placeholder mean fits a 3-channel window exactly as a
+    # prior with three means does: no fit reads the prior's channel count.
+    segment = grid_window(40, 3, seed=12)
+    one, three = make([0.0]), make([0.0, 0.0, 0.0])
+    assert one.fit(segment) == three.fit(segment)
+    assert params_equal(one.params, three.params)
 
 
 def test_gp_requires_a_kernel():
@@ -432,6 +459,23 @@ def test_params_validation():
         ModelParams(mean=[0.0], noise_std=1.0, lengthscale=-1.0)
 
 
+@pytest.mark.parametrize("name", ["lengthscale", "output_scale", "noise_std"])
+def test_params_admit_a_scale_whose_square_is_positive_and_finite(name):
+    # The bounds are the floats whose squares are the last to round to 0 and
+    # the last to stay finite; a value is kept as a float, so a float32 or a
+    # huge integer is squared in double precision, or refused.
+    lo, hi = models._ROOT_MIN, models._ROOT_MAX
+    above_lo, above_hi = math.nextafter(lo, 1.0), math.nextafter(hi, math.inf)
+    assert lo * lo == 0.0 < above_lo * above_lo and hi * hi < math.inf == above_hi * above_hi
+    for value in (above_lo, hi, 2, np.int64(3), np.float32(1e20), 10**150):
+        params = ModelParams(mean=[0.0], **{"noise_std": 1.0, name: value})
+        assert type(getattr(params, name)) is float and getattr(params, name) == float(value)
+    for value in (lo, above_hi, 1e-200, 1e200, 10**400, -10**400, 0, -1.0, math.nan,
+                  math.inf, np.float32(0.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be > 0, with a finite, nonzero "):
+            ModelParams(mean=[0.0], **{"noise_std": 1.0, name: value})
+
+
 # -- grid factor (fast path) vs the dense oracle ------------------------------------
 
 def fixed_gp(kernel=Kernel.RBF, channels=1, noise=0.3, lengthscale=2.0,
@@ -666,11 +710,10 @@ def test_grid_inverse_matches_the_dense_oracle(kernel, lengthscale, channels, gr
 
 # -- prefix sums (one whitening per window) vs slice + fit -------------------------
 
-def fixed_gp_detector(kernel, lengthscale, channels, grid):
+def fixed_gp_detector(kernel, lengthscale, grid):
     det = Detector(DetectorConfig(model=ModelSpec(
         family="gp", kernel=kernel.value, lengthscale=lengthscale, output_scale=0.9,
-        noise_std=0.3, channels=channels, fix_kernel=True, fix_output_scale=True,
-        fix_noise=True)))
+        noise_std=0.3, fix_kernel=True, fix_output_scale=True, fix_noise=True)))
     if not grid:
         for model in (det.m0, det.m1, det.m2):
             model.gram_factor = None
@@ -709,7 +752,7 @@ def reset_window(channels, level, det):
 def test_score_tables_equal_the_scalar_formula(kernel, lengthscale, channels, level):
     # The table repeats the scalar formula's operations in the same order,
     # so every entry is the same double, not merely a close one.
-    det = fixed_gp_detector(kernel, lengthscale, channels, grid=True)
+    det = fixed_gp_detector(kernel, lengthscale, grid=True)
     _, window = reset_window(channels, level, det)
     n = len(window)
     for sums in (det.m0.prefix, det.m0.suffix):
@@ -727,8 +770,8 @@ def test_prefix_sums_match_slice_and_fit(kernel, lengthscale, channels, level, m
     # forwards for the left segments and backwards for the right ones, and
     # tabulates every segment's score.
     close = dict(rel=1e-9, abs=0)
-    fast = fixed_gp_detector(kernel, lengthscale, channels, grid=True)
-    dense = fixed_gp_detector(kernel, lengthscale, channels, grid=False)
+    fast = fixed_gp_detector(kernel, lengthscale, grid=True)
+    dense = fixed_gp_detector(kernel, lengthscale, grid=False)
     full, window = reset_window(channels, level, fast)  # a nonzero offset
     start, end, n = window.start_index, window.end_index, len(window)
     dense.window, dense.last_change = window, start
@@ -785,7 +828,7 @@ def test_prefix_sums_do_not_depend_on_the_output_level(kernel, lengthscale):
     scores = []
     for level in (0.0, 1e3):
         window = TimeSeriesWindow(base.inputs, base.outputs + level, start_index=37)
-        det = fixed_gp_detector(kernel, lengthscale, 1, grid=True)
+        det = fixed_gp_detector(kernel, lengthscale, grid=True)
         det.window, det.last_change = window, 37
         det.m0.fit(window)
         sums, back = det.m0.prefix, det.m0.suffix

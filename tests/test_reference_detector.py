@@ -45,8 +45,7 @@ def three_level_stream(seed: int, noise: float, channels: int) -> TimeSeriesWind
 @pytest.mark.parametrize("name", CASES)
 def test_run_stream_matches_the_reference_detector(name):
     spec, family, noise, channels, seeds = CASES[name]
-    config = DetectorConfig(**RULES, model=ModelSpec(**spec, channels=channels,
-                                                     min_fit_points=MIN_FIT_POINTS))
+    config = DetectorConfig(**RULES, model=ModelSpec(**spec, min_fit_points=MIN_FIT_POINTS))
     for seed in seeds:
         series = three_level_stream(seed, noise, channels)
         events, records = run_stream(series, config)
