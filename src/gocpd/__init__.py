@@ -11,7 +11,8 @@ from .detector import (DetectionEvent, Detector, DetectorConfig, ModelSpec,
                        run_stream, stream_batches)
 from .errors import (ConfigError, EmptyDomain, EmptyLog, GocpdError,
                      NonContiguousBatch, NonFiniteObservation,
-                     NonPositiveDefinite, TooFewPoints, ZeroVariance)
+                     NonPositiveDefinite, NumericalOverflow, TooFewPoints,
+                     ZeroVariance)
 from .metrics import MatchReport, aggregate_instrumentation, match_detections, rates
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel, PosteriorSummary)
@@ -37,6 +38,7 @@ __all__ = [
     "NonContiguousBatch",
     "NonFiniteObservation",
     "NonPositiveDefinite",
+    "NumericalOverflow",
     "ObservationModel",
     "PosteriorSummary",
     "RegimeScript",

@@ -60,8 +60,9 @@ class RegimeScript:
     """Recipe for one piecewise-stationary series.
 
     ``factors`` multiply ``base_params.<vary>`` segment by segment; for the
-    mean this is equivalent to absolute levels when the base mean is 1. A
-    factor of any other hyperparameter must be positive.
+    mean this is equivalent to absolute levels when the base mean is 1, and
+    each level must be finite. A factor of any other hyperparameter must be
+    positive.
     """
 
     length: int
@@ -87,7 +88,10 @@ class RegimeScript:
             raise ConfigError(f"factors must be > 0 when varying {self.vary}")
         for index in range(len(locs)):
             try:
-                self.segment_params(index)
+                with np.errstate(over="ignore"):  # an overflowing mean is refused below
+                    mean = self.segment_params(index).mean
+                if not np.isfinite(mean).all():
+                    raise ValueError(f"mean must be finite, got {mean[0]}")
             except ValueError as exc:
                 raise ConfigError(f"factors[{index}]: {exc}") from None
 

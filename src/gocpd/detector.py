@@ -29,12 +29,13 @@ conjunction fails and the persistence counter restarts.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Iterable, Iterator
 
-from .errors import (ConfigError, NonPositiveDefinite, TooFewPoints, check_fields,
-                     check_keys, is_number)
+from .errors import (ConfigError, NonPositiveDefinite, NumericalOverflow, TooFewPoints,
+                     check_fields, check_keys, is_number)
 from .models import (GaussianProcessModel, IidGaussianModel, Kernel,
                      ModelParams, ObservationModel)
 from .search import SplitScorer, effective_interval, ternary_argmax
@@ -160,8 +161,10 @@ class Detector:
 
         Returns the DetectionEvent if this batch's iteration declared a
         change, else None. Every call appends exactly one iteration record.
-        Numerical failures inside the search or the criterion degrade to a
-        logged no-op; the stream stays alive. A batch holding NaN or inf
+        Numerical failures inside the fit, the search or the criterion, an
+        overflow among them (``NumericalOverflow``), degrade to a logged
+        no-op whose record holds the message in ``error``; the stream stays
+        alive. A batch holding NaN or inf
         (``NonFiniteObservation``, checked here for the first batch and by
         ``TimeSeriesWindow.extend`` for later ones, before anything else), or
         a later batch that does not continue the window (``NonContiguousBatch``)
@@ -195,7 +198,7 @@ class Detector:
                     tau = ternary_argmax(scorer.evaluate, lo, hi, cfg.search_tol)
                     satisfied, d_left, d_right = self.criterion(tau)
                     domain_size, evals = hi - lo + 1, len(scorer.cache)
-            except (NonPositiveDefinite, TooFewPoints) as exc:
+            except (NonPositiveDefinite, NumericalOverflow, TooFewPoints) as exc:
                 logger.warning("degraded step at t=%d: %s", t, exc)
                 error = str(exc)
         if domain_size:
@@ -239,7 +242,8 @@ class Detector:
         independently (no cross-segment covariance). The split is
         ``[last_change, candidate] | [candidate + 1, t]``, one point right of
         the search's ``[start, tau - 1] | [tau, t]`` and of the reset's. A candidate
-        before the first ``step`` or outside ``[last_change, t - 1]`` is an IndexError.
+        before the first ``step`` or outside ``[last_change, t - 1]`` is an IndexError,
+        and a distance that is not finite is ``NumericalOverflow``.
         """
         if self.window is None:
             raise IndexError(f"candidate {candidate} before the first step")
@@ -248,6 +252,8 @@ class Detector:
             raise IndexError(f"candidate {candidate} outside [{self.last_change}, {t - 1}]")
         d_left = self._distance(self.m0.prefix, self.last_change, candidate)
         d_right = self._distance(self.m0.suffix, candidate + 1, t)
+        if not math.isfinite(d_left + d_right):
+            raise NumericalOverflow(f"criterion distances at {candidate} are {d_left}, {d_right}")
         ok = d_left > self.config.nu1 and d_right > self.config.nu2
         return ok, d_left, d_right
 

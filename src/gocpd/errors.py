@@ -19,6 +19,10 @@ class TooFewPoints(GocpdError):
     """A window is shorter than the minimum required for fitting."""
 
 
+class NumericalOverflow(GocpdError):
+    """A likelihood, split metric or distance left the floats on finite data."""
+
+
 class EmptyDomain(GocpdError):
     """The candidate search interval contains no admissible timestamps."""
 

@@ -42,14 +42,16 @@ criterion's left segment, the window.
 
 A GP model whose hyperparameters are all fixed owns a ``UniformGramFactor``:
 the inverse ``W = L^{-1}`` of the lower Cholesky factor of the noisy Gram
-on the grid ``0, dx, 2dx, ...``, one read-only contiguous array of exactly
-the longest segment's size, 8 n^2 bytes per model (two arrays only while a
-growth is in progress). A stationary kernel depends only on input
-differences, so on a segment whose inputs are ``x[0] + k * dx`` the noisy
-Gram and ``W`` are leading blocks of the grid's, exactly, and the whitening
-is one product ``W[:n, :n] @ v`` in numpy. Learned hyperparameters,
-non-uniform inputs, and growth its conditioning bound refuses all factor
-afresh with ``chol_with_jitter``, which stays the reference.
+on the grid ``0, dx, 2dx, ...``, in one read-only buffer with headroom: a
+growth writes its new rows in place, and one past the capacity reallocates
+to 1.25 times it (or the new size), so a longest segment of n points holds
+at most 12.5 n^2 bytes, plus the old buffer while copying. A stationary
+kernel depends only on input differences, so on a segment whose inputs are
+``x[0] + k * dx`` the noisy Gram and ``W`` are leading blocks of the grid's,
+exactly, and the whitening is one product ``W[:n, :n] @ v`` in numpy.
+Learned hyperparameters, non-uniform inputs, and growth its conditioning
+bound refuses all factor afresh with ``chol_with_jitter``, which stays the
+reference.
 
 A grid whitening is one product on ``[1, y - y[0], rev(y) - y[-1]]``, which
 also gives backward sums. The grid's noisy Gram ``K`` is symmetric Toeplitz,
@@ -82,7 +84,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, TooFewPoints
+from .errors import NonPositiveDefinite, NumericalOverflow, TooFewPoints
 from .window import TimeSeriesWindow
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -234,7 +236,9 @@ class UniformGramFactor:
     noise_std^2, 2 K_kk - r)``, with ``r`` twice the Gram row's sum less
     ``K_kk``, exceeds ``COND_MAX`` (at 1e4 the fits agreed with the dense
     path to 2e-10 relative). It is not retried at that size or above, and
-    those segments take the dense path.
+    those segments take the dense path. ``W`` and ``2 log L_kk`` sit in zeroed
+    buffers, writeable only inside ``_grow``; a growth past their capacity
+    reallocates to ``max(n, 1.25 * capacity)``, copying the leading block once.
     """
 
     COND_MAX = 1e4
@@ -277,15 +281,20 @@ class UniformGramFactor:
         if row_sum > self.COND_MAX * max(params.noise_std**2, 2.0 * col[-1] - row_sum):
             self.limit = n
             return False
-        a = self._inv @ k_new[:m]
+        w = self._inv[:m, :m]
+        a = w @ k_new[:m]
         l22 = np.linalg.cholesky(k_new[m:] - a.T @ a)
         w22 = np.linalg.inv(l22)
-        inv = np.empty((n, n))
-        inv[:m, :m], inv[:m, m:] = self._inv, 0.0
-        inv[m:, :m], inv[m:, m:] = -w22 @ (a.T @ self._inv), w22
-        logdiag = np.concatenate([self._logdiag, 2.0 * np.log(np.diag(l22))])
-        inv.flags.writeable = logdiag.flags.writeable = False
-        self._inv, self._logdiag, self.size = inv, logdiag, n
+        if n > len(self._logdiag):  # zeroed, so the upper triangle is never written
+            cap = max(n, int(1.25 * len(self._logdiag)))
+            inv, logdiag = np.zeros((cap, cap)), np.zeros(cap)
+            inv[:m, :m], logdiag[:m] = w, self._logdiag[:m]
+            self._inv, self._logdiag = inv, logdiag
+        self._inv.flags.writeable = self._logdiag.flags.writeable = True
+        self._inv[m:n, :m], self._inv[m:n, m:n] = -w22 @ (a.T @ w), w22
+        self._logdiag[m:n] = 2.0 * np.log(np.diag(l22))
+        self._inv.flags.writeable = self._logdiag.flags.writeable = False
+        self.size = n
         return True
 
 
@@ -446,7 +455,8 @@ class IidGaussianModel(ObservationModel):
     ``fix_noise=True`` keeps ``noise_std`` at its prior value during
     fitting, reproducing fixed-variance model families; otherwise the
     noise is the maximum-likelihood standard deviation pooled over
-    channels.
+    channels. A fit whose residual sum of squares overflows raises
+    ``NumericalOverflow``.
     """
 
     def __init__(self, prior_params: ModelParams, min_fit_points: int = 1,
@@ -466,6 +476,9 @@ class IidGaussianModel(ObservationModel):
         mean = np.add.reduce(y, 0) / len(y)
         r = y - mean
         ss = np.add.reduce(r * r, None)
+        if not math.isfinite(ss):
+            raise NumericalOverflow(
+                f"residual sum of squares of {len(y)} points overflows a float")
         noise_std = p.noise_std if self.fix_noise else max(math.sqrt(ss / r.size), _NOISE_FLOOR)
         # Built directly: dataclasses.replace costs about 3x more per fit.
         self.params = ModelParams(mean, noise_std, p.lengthscale, p.output_scale, p.kernel)

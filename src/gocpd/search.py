@@ -20,9 +20,10 @@ saved candidate.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
-from .errors import EmptyDomain, TooFewPoints
+from .errors import EmptyDomain, NumericalOverflow, TooFewPoints
 from .models import ModelParams, ObservationModel, PrefixSums
 from .window import TimeSeriesWindow
 
@@ -54,7 +55,8 @@ class SplitScorer:
     counts the evaluations made.
 
     ``evaluate`` forms the metric ``ll_left / m + ll_right / r`` from the
-    log-likelihoods of the split's segments of ``m`` and ``r`` points. Given
+    log-likelihoods of the split's segments of ``m`` and ``r`` points, and
+    raises ``NumericalOverflow`` when it is not finite. Given
     the forward and backward ``PrefixSums`` of ``window`` under the models'
     fixed hyperparameters, each is one entry of ``prefix.scores`` or
     ``suffix.scores``; else it is what fitting a model on a view of the
@@ -99,6 +101,8 @@ class SplitScorer:
                 raise TooFewPoints(f"split {tau} leaves a segment below the fitting minimum")
             ll_left, ll_right = self.prefix.scores.item(m), self.suffix.scores.item(r)
         value = float(ll_left / m + ll_right / r)  # the split metric
+        if not math.isfinite(value):
+            raise NumericalOverflow(f"split metric at {tau} is {value}")
         self.cache[tau] = value
         return value
 

@@ -178,6 +178,18 @@ def test_generate_script_factor_that_breaks_a_bound_is_named(tmp_path, capsys, v
     assert not (tmp_path / "x").exists()
 
 
+def test_generate_script_mean_that_overflows_is_named(tmp_path, capsys):
+    # 10 * 1e308 is inf: the level is refused before any row is drawn.
+    script = {"length": 200, "change_locations": [0, 100], "vary": "mean",
+              "factors": [1, 1e308], "base": {"mean": 10}}
+    spath = tmp_path / "script.json"
+    write_json(spath, script)
+    rc = main(["generate", "--script", str(spath), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: factors[1]: mean must be finite, got inf\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_generate_script_holding_a_preset_names_it(tmp_path, capsys):
     # A bundled series is asked for with --preset NAME --seed N alone.
     spath = tmp_path / "script.json"
@@ -213,6 +225,26 @@ def test_detect_step_stream_emits_event_near_fifty(tmp_path, step_csv, config_pa
     assert (out / "instrumentation.jsonl").exists()
     assert (out / "plot.csv").read_text().splitlines()[0] == \
         "t,candidate,distance_left,distance_right,k,criterion"
+
+
+def test_detect_overflowing_stream_degrades_its_steps(tmp_path):
+    # At a level near the largest float a learned noise overflows: each fitted
+    # step is degraded with the reason in its record, not a config error.
+    y = 1e308 - 1e292 * np.random.default_rng(0).normal(size=100)
+    data, cpath = tmp_path / "big.csv", tmp_path / "config.json"
+    write_series_csv(data, TimeSeriesWindow(np.arange(100.0), y))
+    doc = step_config_doc()
+    doc["model"].update(fix_noise=False)
+    write_json(cpath, doc)
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["detect", "--data", str(data), "--config", str(cpath), "--out", str(out)])
+    assert rc == 0
+    records = [r for r in read_jsonl(out / "instrumentation.jsonl") if r["kind"] == "iteration"]
+    assert [r for r in read_jsonl(out / "events.jsonl") if r["kind"] == "detection"] == []
+    errors = [r["error"] for r in records if r["t"] >= 30]
+    assert len(errors) == 70 and all("overflows a float" in e for e in errors)
+    assert not any(r["searched"] for r in records)
 
 
 def test_detect_missing_config_field_names_it(tmp_path, step_csv, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from conftest import params_equal
 from gocpd.datagen import step_example
 from gocpd.detector import (Detector, DetectorConfig, ModelSpec,
                             grid_search_thresholds, run_stream, stream_batches)
-from gocpd.errors import ConfigError, NonContiguousBatch, NonFiniteObservation
+from gocpd.errors import (ConfigError, NonContiguousBatch, NonFiniteObservation,
+                          NumericalOverflow)
 from gocpd.search import effective_interval
 from gocpd.window import TimeSeriesWindow
 
@@ -403,6 +405,43 @@ def test_degraded_step_keeps_stream_alive(caplog):
     batch = TimeSeriesWindow(np.array([[41.0]]), np.array([0.0]), start_index=41)
     assert det.step(batch) is None
     assert det.instrumentation[-1]["error"] is not None
+
+
+GRID_GP = dict(family="gp", lengthscale=2.0, output_scale=0.9, noise_std=0.3,
+               fix_kernel=True, fix_output_scale=True, fix_noise=True)
+
+
+@pytest.mark.parametrize("model, n, reason", [
+    (dict(family="iid", noise_std=0.1, fix_noise=True), 300, "residual sum of squares of"),
+    (dict(family="iid", noise_std=0.1), 300, "residual sum of squares of"),
+    (GRID_GP, 200, "split metric at"),
+])
+def test_overflowing_stream_degrades_every_fitted_step(model, n, reason):
+    # Finite observations at a level near the largest float: the IID residual
+    # sum of squares overflows, and the grid GP's split metric is NaN. Each
+    # fitted step is degraded with its reason; none scores, none raises.
+    y = 1e308 - 1e292 * np.random.default_rng(0).normal(size=n)
+    config = DetectorConfig(nu1=2.0, nu2=2.0, k_max=10, t_ini=30, wait=80,
+                            model=ModelSpec(**model))
+    with np.errstate(over="ignore", invalid="ignore"):
+        events, records = run_stream(TimeSeriesWindow(np.arange(float(n)), y), config)
+    assert events == [] and len(records) == n
+    assert all(r["error"] is None for r in records[:30])
+    fitted = records[30:]
+    assert all(r["error"].startswith(reason) for r in fitted)
+    assert not any(r["searched"] for r in fitted)
+    assert all(r["score"] is None and r["distance_left"] is None for r in fitted)
+
+
+def test_criterion_refuses_a_distance_that_is_not_finite():
+    det = run_series(step_example().slice(0, 45), step_config())
+    tau = det.candidate
+    assert tau is not None and all(map(math.isfinite, det.criterion(tau)[1:]))
+    # At noise 1.6e-162 the scaled residuals' squares overflow.
+    det.m0.params = replace(det.m0.params, noise_std=1.6e-162)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalOverflow, match=f"criterion distances at {tau} are inf"):
+            det.criterion(tau)
 
 
 def test_non_finite_observation_raises_at_its_step():

@@ -556,18 +556,21 @@ def test_grid_factor_unused_on_nonuniform_inputs_or_learned_hyperparameters():
 
 
 def test_grid_factor_serves_only_its_own_hyperparameters():
-    # A fixed model whose params a caller replaced takes the dense path.
+    # A fixed model whose params a caller replaced takes the dense path, and
+    # leaves the buffer, its size and its capacity as they were.
     segment = grid_window(30, 1, seed=26)
     model = fixed_gp()
     model.fit(segment)
     factor = model.gram_factor
-    inverse, size = factor._inv, factor.size
+    buffer, kept, size = factor._inv, factor._inv.copy(), factor.size
+    assert capacity(factor) == size == 30
     model.params = replace(model.params, lengthscale=0.7)
     assert factor.leading(segment.inputs, model.params) is None
     fresh = fixed_gp(lengthscale=0.7, dense=True)
     assert_models_agree(model, fresh, segment, rel=0)
     assert model.prefix is None and model.suffix is None
-    assert factor._inv is inverse and factor.size == size == 30
+    assert factor._inv is buffer and np.array_equal(buffer, kept)
+    assert factor.size == size and capacity(factor) == 30 and factor.limit is None
 
 
 def test_grid_factor_growth_failure_falls_back_to_jitter():
@@ -591,26 +594,37 @@ def test_grid_factor_growth_failure_falls_back_to_jitter():
 
 def test_grid_factor_refused_growth_is_not_retried():
     # At noise 0.05 and lengthscale 20 six points pass the conditioning
-    # bound and forty do not: the refused growth leaves the factor as it
-    # was, and the long segment takes the dense path.
+    # bound and forty do not: the refused growth leaves the buffer, its
+    # capacity and the size as they were, and the long segment takes the
+    # dense path.
     settings = dict(noise=0.05, lengthscale=20.0, output_scale=1.0)
     segment = grid_window(40, 1, seed=24)
     fast, dense = fixed_gp(**settings), fixed_gp(dense=True, **settings)
     factor = fast.gram_factor
     assert_models_agree(fast, dense, segment.slice(0, 5), rel=1e-9)  # six points grow
-    inverse, size = factor._inv, factor.size
+    buffer, kept = factor._inv, factor._inv.copy()
+    logdiag, kept_logdiag = factor._logdiag, factor._logdiag.copy()
+    assert factor.size == capacity(factor) == 6 and factor.limit is None
     assert_models_agree(fast, dense, segment, rel=0)
     assert factor.limit == 40 and factor.size < len(segment)
     assert fast.prefix is None and fast.suffix is None  # no whitening either
-    assert factor._inv is inverse and factor.size == size == 6
+
+    def unchanged():
+        assert factor._inv is buffer and np.array_equal(buffer, kept)
+        assert factor._logdiag is logdiag and np.array_equal(logdiag, kept_logdiag)
+        assert factor.size == capacity(factor) == 6 and factor.limit == 40
+        assert not buffer.flags.writeable and not logdiag.flags.writeable
+
+    unchanged()
     # Beyond the refused size the factor is never grown again.
     later = grid_window(45, 1, seed=25)
     assert_models_agree(fast, dense, later, rel=0)
-    assert factor.limit == 40 and factor._inv is inverse
+    unchanged()
     # A later segment no longer than the factor still takes the grid path.
     for short in (later.slice(30, 35), later.slice(40, 42)):
         assert_models_agree(fast, dense, short, rel=1e-9)
         assert fast.prefix is not None and fast.suffix is not None
+        unchanged()
 
 
 @pytest.mark.parametrize("noise", [1e-1, 1e-3, 1e-5, 1e-8])
@@ -636,18 +650,56 @@ def assert_factor_close(got, x, params):
     np.testing.assert_allclose(logdiag, 2.0 * np.log(np.diag(lower)), rtol=1e-12, atol=0)
 
 
-def test_grid_factor_is_exact_size_and_read_only():
+def capacity(factor):
+    """Rows the grid factor's buffer holds, in use or not."""
+    return len(factor._logdiag)
+
+
+def assert_views_of_the_buffer(factor, views):
+    """``views`` are read-only blocks of the factor's buffers, which no
+    write through them can change."""
+    for view, buffer in zip(views, (factor._inv, factor._logdiag)):
+        assert view.base is buffer and np.shares_memory(view, buffer)
+        assert not view.flags.writeable and not buffer.flags.writeable
+        kept = buffer.copy()
+        with pytest.raises(ValueError):
+            view.flags.writeable = True
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+        with pytest.raises(ValueError):
+            view *= 2.0
+        assert np.array_equal(buffer, kept)
+
+
+def test_grid_factor_buffer_is_bounded_and_read_only():
     det = Detector(DetectorConfig(k_max=10**9, model=ModelSpec(
         family="gp", lengthscale=2.0, output_scale=0.9, noise_std=0.3,
         fix_kernel=True, fix_output_scale=True, fix_noise=True)))
     y = np.random.default_rng(26).normal(size=600) + (np.arange(600) >= 300)
+    factor, sizes = det.m0.gram_factor, [0]
     for batch in stream_batches(TimeSeriesWindow(np.arange(600.0), y), 1):
+        before, buffer = capacity(factor), factor._inv
         det.step(batch)
-    factor = det.m0.gram_factor
+        # A growth within the capacity writes in place; one past it reallocates
+        # to max(n, 1.25 * capacity), never more.
+        if factor.size <= before:
+            assert factor._inv is buffer and capacity(factor) == before
+        else:
+            assert before < factor.size <= capacity(factor) <= max(factor.size, 1.25 * before)
+        sizes.append(capacity(factor))
     assert det.events == [] and factor.size == 600
-    assert factor._inv.shape == (600, 600) and factor._inv.nbytes == 8 * 600**2
+    cap = capacity(factor)
+    assert 600 <= cap <= 1.25 * 600 and len(set(sizes)) > 2
+    assert factor._inv.shape == (cap, cap) and factor._inv.nbytes <= 12.5 * 600**2
     assert factor._inv.flags.c_contiguous and not factor._inv.flags.writeable
-    assert factor._logdiag.shape == (600,) and not factor._logdiag.flags.writeable
+    assert factor._logdiag.shape == (cap,) and not factor._logdiag.flags.writeable
+    # Rows past the size, and the upper triangle, hold zeros: never written.
+    assert not factor._inv[600:].any() and not factor._logdiag[600:].any()
+    assert not np.triu(factor._inv, 1).any()
+    x = np.arange(600.0)[:, None]
+    block = factor.leading(x, det.m0.params)
+    assert_views_of_the_buffer(factor, block)
+    assert_factor_close(block, x, det.m0.params)
 
 
 def test_grid_factor_leading_grows_and_views_exactly():
@@ -655,18 +707,22 @@ def test_grid_factor_leading_grows_and_views_exactly():
     factor, params = fast.gram_factor, fast.params
     x = 0.5 * np.arange(200.0)[:, None] + 3.0
     assert_factor_close(factor.leading(x[:120], params), x[:120], params)
-    grown = factor.leading(x[:121], params)  # growth by one point
-    assert factor.size == 121 and grown[0].base is factor._inv
+    assert capacity(factor) == 120
+    grown = factor.leading(x[:121], params)  # growth by one point, past the capacity
+    assert factor.size == 121 and capacity(factor) == 150
+    assert_views_of_the_buffer(factor, grown)
     assert_factor_close(grown, x[:121], params)
-    grown = factor.leading(x[:128], params)  # growth by a batch of 7
-    assert factor.size == 128 and grown[0].base is factor._inv
+    buffer, kept = factor._inv, grown[0].copy()
+    grown = factor.leading(x[:128], params)  # growth by a batch of 7, in place
+    assert factor.size == 128 and factor._inv is buffer and capacity(factor) == 150
+    assert_views_of_the_buffer(factor, grown)
     assert_factor_close(grown, x[:128], params)
+    assert np.array_equal(buffer[:121, :121], kept)  # the growth wrote new rows only
     # A shorter segment at a later offset, as after a detection reset, gets
     # a read-only view of the leading block; the factor is left as it was.
-    inverse = factor._inv
     short = factor.leading(x[150:190], params)
-    assert factor.size == 128 and factor._inv is inverse
-    assert short[0].base is inverse and short[1].base is factor._logdiag
+    assert factor.size == 128 and factor._inv is buffer and capacity(factor) == 150
+    assert_views_of_the_buffer(factor, short)
     assert_factor_close(short, x[150:190], params)
 
 
@@ -674,18 +730,46 @@ def test_grid_factor_block_cannot_be_written():
     segment = grid_window(80, 2, seed=27)
     fast = fixed_gp(channels=2)
     fast.fit(segment)
-    inverse, logdiag = fast.gram_factor.leading(segment.inputs, fast.params)
-    assert inverse.base is fast.gram_factor._inv
-    for block in (inverse, logdiag):
-        with pytest.raises(ValueError):
-            block[0] = 0.0
-        with pytest.raises(ValueError):
-            block *= 2.0
+    block = fast.gram_factor.leading(segment.inputs, fast.params)
+    assert_views_of_the_buffer(fast.gram_factor, block)
+    # Growth makes the buffer writeable for a moment, in place or by a new
+    # buffer; the views handed out before stay read-only either way.
+    for end in (85, 95, 140):
+        fast.fit(grid_window(end, 2, seed=27))
+        for view in block:
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 0.0
     fresh = fixed_gp(channels=2)
     for model in (fast, fresh):
         model.fit(segment)
     np.testing.assert_array_equal(fast.prefix.scores, fresh.prefix.scores)
     np.testing.assert_array_equal(fast.suffix.scores, fresh.suffix.scores)
+
+
+@pytest.mark.parametrize("growth", [1, 7])
+def test_grid_factor_grows_in_place_across_reallocations(growth):
+    # Every leading block, whether its growth wrote into the buffer in place
+    # or reallocated it, matches the dense factor at 1e-12.
+    fast = fixed_gp()
+    factor, params = fast.gram_factor, fast.params
+    x = 0.5 * np.arange(260.0)[:, None] + 3.0
+    reallocations = in_place = 0
+    for n in range(30, 260, growth):
+        before, buffer = capacity(factor), factor._inv
+        block = factor.leading(x[:n], params)
+        assert factor.size == n and factor.limit is None
+        if n <= before:
+            in_place += 1
+            assert factor._inv is buffer and capacity(factor) == before
+        else:
+            reallocations += 1
+            assert n <= capacity(factor) <= max(n, 1.25 * before)
+        assert_views_of_the_buffer(factor, block)
+        assert_factor_close(block, x[:n], params)
+    assert reallocations > 2 and in_place > 2
+    for m in range(2, n, 23):  # shorter blocks of the last buffer
+        assert_factor_close(factor.leading(x[:m], params), x[:m], params)
 
 
 @pytest.mark.parametrize("kernel, lengthscale", [(Kernel.RBF, 0.3), (Kernel.RBF, 1.0),

@@ -6,7 +6,7 @@ from conftest import fixed_iid, params_equal
 import gocpd.detector as detector_module
 from gocpd.datagen import step_example
 from gocpd.detector import DetectorConfig, ModelSpec, run_stream
-from gocpd.errors import EmptyDomain, TooFewPoints
+from gocpd.errors import EmptyDomain, NumericalOverflow, TooFewPoints
 from gocpd.metrics import evaluation_count_bound
 from gocpd.models import GaussianProcessModel, IidGaussianModel, Kernel, ModelParams
 from gocpd.search import SplitScorer, effective_interval, ternary_argmax
@@ -140,6 +140,17 @@ def test_split_outside_the_window_is_rejected():
     for tau in (w.start_index, w.end_index + 1):
         with pytest.raises(ValueError, match=f"split {tau} outside window"):
             SplitScorer(w, fixed_iid(), fixed_iid()).evaluate(tau)
+
+
+def test_split_metric_that_is_not_finite_is_refused():
+    # At noise 1e-161 the variance is subnormal: each fit's residual sum of
+    # squares is finite, but its log-likelihood is -inf.
+    w = step_window()
+    scorer = SplitScorer(w, fixed_iid(noise=1e-161), fixed_iid(noise=1e-161))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalOverflow, match="split metric at 50 is -inf"):
+            scorer.evaluate(50)
+    assert scorer.cache == {}
 
 
 def test_split_read_from_tables_rejects_tiny_segments():
